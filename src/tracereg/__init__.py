@@ -8,7 +8,6 @@ from .model import (
     compute_weights,
     lambda_max,
     min_norm_least_squares,
-    penalty_scales,
     vec,
     unvec,
 )
@@ -68,7 +67,7 @@ __version__ = "0.1.0"
 __all__ = [
     "TraceRegressionProblem", "GramFactor", "WeightPair",
     "build_problem", "compute_weights", "lambda_max",
-    "min_norm_least_squares", "penalty_scales", "vec", "unvec",
+    "min_norm_least_squares", "vec", "unvec",
     "SvdTriple", "svd", "nuclear_norm", "spectral_norm", "prox_nuclear",
     "dual_feasibility_gauge", "subdifferential_residual",
     "AdmmConfig", "GeneralizedInstance", "FactorCache", "Solution",

@@ -1,47 +1,57 @@
-"""ADMM solver for the adaptive nuclear norm regularized problem.
+"""Gap-certified accelerated proximal gradient solver.
 
 Solves, over Theta in R^{d1 x d2},
 
-    min (1/2n) sum_i (y_i - <Xt_i, Theta>)^2 + lambda ||M1 Theta M2||_*
+    min (1/2n) sum_i (y_i - <Xt_i, Theta>)^2 + lambda ||M1 Theta M2||_*.
 
-with the splitting alpha = y - Xt vec(Theta) and C = M1 Theta M2. The
-unreduced problem has Xt_i = X_i and M1, M2 the rescaled weight pair
-(see penalty_scales); a screened problem passes the rotated designs and
-the composed maps together with the embedding bases, so solutions always
-come back in the original p x q coordinates.
+With the QR factors M1 = Q1 R1 and M2^T = Q2 R2 the penalty equals
+||R1 Theta R2^T||_*, so in the coordinates C = R1 Theta R2^T the problem is
+a plain nuclear norm regression on the designs Z_i = R1^{-T} Xt_i R2^{-1}.
+FISTA (Beck & Teboulle 2009) with gradient restart (O'Donoghue & Candes
+2015) runs there: one gradient, one singular value soft threshold per
+iteration, no linear system. Every CHECK_EVERY iterations the iterate is
+certified with the residual r = Z c - y:
+
+- the duality gap P - D, with the dual D(theta) = ||y||^2/2n
+  - (n lambda^2/2) ||theta + y/(n lambda)||^2 taken at theta = r/(n lambda)
+  scaled to feasibility, relative to ||y||^2/2n (the objective at B = 0);
+- the dual infeasibility (||Z^T r||_2/n - lambda)_+, relative to the
+  instance's lambda_max.
+
+The unreduced problem has Xt_i = X_i and M1, M2 = W1, W2; a screened problem
+passes the rotated designs and the composed maps together with the embedding
+bases, so solutions always come back in the original p x q coordinates.
 """
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
 
-from .model import penalty_scales, unvec, vec
-from .prox import nuclear_norm, prox_nuclear
+from .model import unvec, vec
+from .prox import nuclear_norm, prox_nuclear, spectral_norm
 
-GOLDEN_TAU_LIMIT = (math.sqrt(5.0) + 1.0) / 2.0
+# iterations between two certificate checks
+CHECK_EVERY = 5
+
+# a triangular factor whose smallest diagonal entry falls below this share of
+# its largest, times its size, marks a rank-deficient penalty map
+RANK_RTOL = np.finfo(float).eps
+
+TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
 class AdmmConfig:
-    sigma: float = 1.0
-    tau: float = 1.618
-    tol_primal: float = 1e-6
-    tol_dual: float = 1e-6
+    tol_primal: float = 1e-6     # duality gap, relative to ||y||^2/2n
+    tol_dual: float = 1e-6       # dual infeasibility, relative to lambda_max
     max_iter: int = 5000
     track_objective: bool = False
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
-        if not 0.0 < self.tau < GOLDEN_TAU_LIMIT:
-            raise ValueError(
-                f"tau must lie in (0, {GOLDEN_TAU_LIMIT:.6f}), got {self.tau}"
-            )
         if self.tol_primal <= 0 or self.tol_dual <= 0:
             raise ValueError("tolerances must be positive")
         if self.max_iter < 1:
@@ -67,13 +77,12 @@ class GeneralizedInstance:
     lam: float
     left: np.ndarray | None = None
     right: np.ndarray | None = None
-    lam_scale: float = 1.0       # lam = lam_scale * user-facing lambda
 
     def at_lambda(self, lam):
-        """Sibling instance at a new user-facing lambda, same maps."""
+        """Sibling instance at a new lambda, same maps."""
         if lam <= 0:
             raise ValueError(f"lambda must be positive, got {lam}")
-        return replace(self, lam=float(lam) * self.lam_scale)
+        return replace(self, lam=float(lam))
 
     @property
     def n(self):
@@ -106,183 +115,83 @@ class GeneralizedInstance:
 
 
 def make_instance(problem, weights, lam):
-    """Unreduced instance for the original problem at one lambda.
-
-    The penalty maps are the weights divided by their singular value
-    geometric means, with lambda scaled up by the same factors; the
-    objective is unchanged and the splitting stays well conditioned at
-    the default sigma.
-    """
+    """Unreduced instance for the original problem at one lambda."""
     if lam <= 0:
         raise ValueError(f"lambda must be positive, got {lam}")
-    g1, g2 = penalty_scales(weights)
     return GeneralizedInstance(
         Xt=problem.X, stacked=problem.stacked, y=problem.y,
-        M1=weights.W1 / g1, M2=weights.W2 / g2, lam=float(lam) * g1 * g2,
-        lam_scale=g1 * g2,
+        M1=weights.W1, M2=weights.W2, lam=float(lam),
     )
 
 
-def assemble_system(instance):
-    """The (d1 d2) x (d1 d2) normal matrix of the Theta update.
-
-    Xt^T Xt + (M2 M2^T) kron (M1^T M1); lambda and sigma independent, so
-    one factorization serves a whole path over lambda.
-    """
-    m2_part = instance.M2 @ instance.M2.T
-    m1_part = instance.M1.T @ instance.M1
-    return instance.stacked.T @ instance.stacked + np.kron(m2_part, m1_part)
+def _triangular_factor(m, name):
+    """R of m = Q R; ValueError unless m has full column rank."""
+    r = np.linalg.qr(m, mode="r")
+    diag = np.abs(np.diag(r))
+    if r.shape[0] < r.shape[1] or diag.min() <= RANK_RTOL * r.shape[1] * diag.max():
+        raise ValueError(f"penalty map {name} is rank deficient")
+    return r
 
 
 class FactorCache:
-    """Solver for the Theta-update system, built once per lambda path.
+    """Per-instance solver data, independent of lambda; built once per path.
 
-    Two routes. With n >= d1 d2 the assembled normal matrix is Cholesky
-    factorized directly. In the underdetermined regime the Kronecker
-    term is diagonalized by the eigenbases of the two small Gram factors
-    and the rank-n data term folded in through the Woodbury identity, so
-    one apply costs four small matrix products and an n x n solve
-    instead of a dense (d1 d2)^2 backsolve; the assembled matrix is
-    never formed. The dense route falls back to pseudo-inverse solves
-    (with a note in the stored diagnostics) if the system is numerically
-    indefinite, and the Woodbury route falls back to the dense one if
-    either Gram factor is.
+    Holds the triangular factors R1, R2 of the penalty maps, the designs
+    Z_i = R1^{-T} Xt_i R2^{-1} stacked n x (d1 d2) with rows vec(Z_i), the
+    gradient's Lipschitz constant L = ||Z||_2^2/n and the instance's own
+    lambda_max = ||sum_i y_i Z_i||_2/n. Raises ValueError when R1 or R2
+    is singular.
     """
 
     def __init__(self, instance):
-        self.d1 = instance.d1
-        self.d2 = instance.d2
-        self.fallback = None
-        self.mode = "empty"
-        if self.d1 * self.d2 == 0:
+        n, d1, d2 = instance.n, instance.d1, instance.d2
+        self.d1, self.d2 = d1, d2
+        if d1 * d2 == 0:
+            self.r1, self.r2 = np.eye(d1), np.eye(d2)
+            self.Z = np.zeros((n, 0))
+            self.lipschitz = self.lambda_max = 0.0
             return
-        if instance.n < self.d1 * self.d2:
-            try:
-                self._build_woodbury(instance)
-                return
-            except scipy.linalg.LinAlgError:
-                pass
-        self._build_dense(instance)
+        self.r1 = _triangular_factor(instance.M1, "M1")
+        self.r2 = _triangular_factor(instance.M2.T, "M2")
+        # R1^{-T} Xt_i for every i at once: columns of xt are indexed (i, b)
+        xt = np.moveaxis(instance.Xt, 0, 1).reshape(d1, n * d2)
+        a = scipy.linalg.solve_triangular(self.r1, xt, trans="T")
+        # then Z_i^T = R2^{-T} (R1^{-T} Xt_i)^T, columns indexed (i, a)
+        a = a.reshape(d1, n, d2).transpose(2, 1, 0).reshape(d2, n * d1)
+        z = scipy.linalg.solve_triangular(self.r2, a, trans="T")
+        # Z_i^T flattened row-major is vec(Z_i)
+        self.Z = z.reshape(d2, n, d1).transpose(1, 0, 2).reshape(n, d1 * d2)
+        self.lipschitz = float(np.linalg.norm(self.Z, 2)) ** 2 / n
+        self.lambda_max = spectral_norm(unvec(self.Z.T @ instance.y, d1, d2)) / n
 
-    def _build_dense(self, instance):
-        self.mode = "dense"
-        system = assemble_system(instance)
-        try:
-            self._cho = scipy.linalg.cho_factor(system, lower=True)
-        except scipy.linalg.LinAlgError:
-            eigs = np.linalg.eigvalsh(system)
-            self.fallback = (
-                f"Cholesky failed, eig range [{eigs[0]:.3e}, {eigs[-1]:.3e}]; "
-                "using pseudo-inverse solves"
-            )
-            self._cho = None
-            self._pinv = np.linalg.pinv(system)
+    def coordinates(self, theta_mat):
+        """C = R1 Theta R2^T."""
+        return self.r1 @ theta_mat @ self.r2.T
 
-    def _build_woodbury(self, instance):
-        l1, q1 = np.linalg.eigh(instance.M1.T @ instance.M1)
-        l2, q2 = np.linalg.eigh(instance.M2 @ instance.M2.T)
-        if l1[0] <= 0.0 or l2[0] <= 0.0:
-            raise scipy.linalg.LinAlgError("Kronecker term not positive definite")
-        self._q1, self._q2 = q1, q2
-        self._denom = np.outer(l1, l2)
-        # rows of X G^{-1}, via the same rotation applied to every design
-        rot = (q1.T @ instance.Xt) @ q2
-        rot /= self._denom[None, :, :]
-        back = (q1 @ rot) @ q2.T
-        self._gx = back.transpose(0, 2, 1).reshape(instance.n, -1)
-        mid = np.eye(instance.n) + instance.stacked @ self._gx.T
-        self._mid = scipy.linalg.cho_factor(mid, lower=True)
-        self._stacked = instance.stacked
-        self.mode = "woodbury"
-
-    def _g_solve(self, rhs):
-        t = self._q1.T @ unvec(rhs, self.d1, self.d2) @ self._q2
-        t = t / self._denom
-        return vec(self._q1 @ t @ self._q2.T)
-
-    def solve(self, rhs):
+    def solve(self, c_mat):
+        """Theta = R1^{-1} C R2^{-T}, by two triangular back-substitutions."""
         if self.d1 * self.d2 == 0:
-            return np.zeros(0)
-        if self.mode == "woodbury":
-            g = self._g_solve(rhs)
-            s = scipy.linalg.cho_solve(self._mid, self._stacked @ g)
-            return g - self._gx.T @ s
-        if self._cho is not None:
-            return scipy.linalg.cho_solve(self._cho, rhs)
-        return self._pinv @ rhs
+            return np.zeros((self.d1, self.d2))
+        t = scipy.linalg.solve_triangular(self.r1, c_mat)
+        return scipy.linalg.solve_triangular(self.r2, t.T).T
 
 
 def precompute(instance):
     return FactorCache(instance)
 
 
-@dataclass
-class AdmmState:
-    """Mutable iterate bundle; arrays live in reduced (Theta) coordinates."""
-
-    B: np.ndarray          # (d1, d2)
-    alpha: np.ndarray      # (n,)
-    C: np.ndarray          # (p, q)
-    theta: np.ndarray      # (n,) multiplier for y - Xt vec(B) - alpha = 0
-    D: np.ndarray          # (p, q) multiplier for M1 B M2 - C = 0
-    xb: np.ndarray         # cached stacked @ vec(B)
-    m1bm2: np.ndarray      # cached M1 @ B @ M2
-    iteration: int = 0
-
-    @classmethod
-    def cold(cls, instance):
-        return cls(
-            B=np.zeros((instance.d1, instance.d2)),
-            alpha=np.zeros(instance.n),
-            C=np.zeros((instance.p, instance.q)),
-            theta=np.zeros(instance.n),
-            D=np.zeros((instance.p, instance.q)),
-            xb=np.zeros(instance.n),
-            m1bm2=np.zeros((instance.p, instance.q)),
-        )
-
-
-def update_b(state, instance, cache, config):
-    """Theta update: solve the cached SPD system for the new iterate."""
-    sigma = config.sigma
-    rhs = vec(instance.M1.T @ (state.D + sigma * state.C) @ instance.M2.T)
-    rhs = rhs + instance.stacked.T @ (
-        sigma * instance.y - state.theta - sigma * state.alpha
-    )
-    return unvec(cache.solve(rhs) / sigma, instance.d1, instance.d2)
-
-
-def update_alpha(state, instance, config):
-    """Residual-variable update; uses the already refreshed xb cache."""
-    sigma = config.sigma
-    return (sigma * instance.y - state.theta - sigma * state.xb) / (1.0 / instance.n + sigma)
-
-
-def update_c(state, instance, config):
-    """Nuclear prox step on the penalty split variable."""
-    return prox_nuclear(state.m1bm2 - state.D / config.sigma, instance.lam / config.sigma)
-
-
-def update_duals(state, instance, config):
-    """Gradient ascent on both multipliers with step tau * sigma."""
-    step = config.tau * config.sigma
-    theta = state.theta - step * (instance.y - state.xb - state.alpha)
-    dmat = state.D - step * (state.m1bm2 - state.C)
-    return theta, dmat
-
-
 @dataclass(frozen=True)
 class Solution:
     B: np.ndarray          # embedded p x q solution
-    theta: np.ndarray      # final multiplier estimate
+    theta: np.ndarray      # (X vec(B) - y) / n
     objective: float
     iters: int
     converged: bool
     solve_time_ms: float
-    primal_residual: float
-    dual_residual: float
+    gap: float             # duality gap relative to ||y||^2/2n
+    dual_infeasibility: float   # (||Z^T r||_2/n - lambda)_+ relative to lambda_max
     objective_trace: tuple = ()
-    final_state: AdmmState | None = None
+    final_state: np.ndarray | None = None   # d1 x d2 iterate, for warm starts
 
 
 def objective_value(instance, theta_mat):
@@ -292,60 +201,84 @@ def objective_value(instance, theta_mat):
     return fit + instance.lam * nuclear_norm(instance.M1 @ theta_mat @ instance.M2)
 
 
-def solve(instance, config=None, cache=None, warm_start=None):
-    """Run ADMM to the residual tolerances; never raises on non-convergence.
+def _certificate(instance, cache, c, zc):
+    """(relative gap, relative dual infeasibility) at C = c with Z vec(c) = zc."""
+    n, lam, y = instance.n, instance.lam, instance.y
+    r = zc - y
+    dual_norm = spectral_norm(unvec(cache.Z.T @ r, cache.d1, cache.d2)) / n
+    primal = 0.5 / n * float(r @ r) + lam * nuclear_norm(c)
+    shifted = (r / max(1.0, dual_norm / lam) + y) / (n * lam)
+    y_sq = 0.5 / n * float(y @ y)
+    dual = y_sq - 0.5 * n * lam * lam * float(shifted @ shifted)
+    gap = (primal - dual) / max(y_sq, TINY)
+    infeasibility = max(dual_norm - lam, 0.0) / max(cache.lambda_max, TINY)
+    return gap, infeasibility
 
-    Returns the best iterate with converged=False when max_iter is hit;
+
+def solve(instance, config=None, cache=None, warm_start=None):
+    """Run restarted FISTA to the certificate; never raises on non-convergence.
+
+    warm_start is a d1 x d2 iterate (a previous Solution.final_state).
+    Returns the last iterate with converged=False when max_iter is hit;
     callers that require convergence must check the flag.
     """
     config = config or AdmmConfig()
     cache = cache or precompute(instance)
     t0 = time.perf_counter()
 
-    state = warm_start or AdmmState.cold(instance)
-    y_scale = 1.0 + float(np.linalg.norm(instance.y))
+    n, d1, d2, lam, y = instance.n, instance.d1, instance.d2, instance.lam, instance.y
+    z_mat = cache.Z
+    c = np.zeros((d1, d2)) if warm_start is None else cache.coordinates(warm_start)
+    zc = z_mat @ vec(c)
+    x, zx, t = c, zc, 1.0
+    step = 1.0 / cache.lipschitz if cache.lipschitz > 0 else 0.0
     trace = []
     converged = False
-    rp = rd = float("inf")
+    checked_at = None
+    it = 0
 
-    for it in range(1, config.max_iter + 1):
-        prev_b, prev_alpha, prev_c = state.B, state.alpha, state.C
-
-        state.B = update_b(state, instance, cache, config)
-        state.xb = instance.stacked @ vec(state.B)
-        state.m1bm2 = instance.M1 @ state.B @ instance.M2
-        state.alpha = update_alpha(state, instance, config)
-        state.C = update_c(state, instance, config)
-        state.theta, state.D = update_duals(state, instance, config)
-        state.iteration = it
+    while d1 * d2 and it < config.max_iter:
+        it += 1
+        grad = unvec(z_mat.T @ (zx - y), d1, d2) / n
+        c_new = prox_nuclear(x - step * grad, lam * step)
+        zc_new = z_mat @ vec(c_new)
+        if float(np.vdot(x - c_new, c_new - c)) > 0.0:
+            # gradient restart: the step went against the momentum
+            x, zx, t = c_new, zc_new, 1.0
+        else:
+            t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+            beta = (t - 1.0) / t_new
+            x = c_new + beta * (c_new - c)
+            zx = zc_new + beta * (zc_new - zc)
+            t = t_new
+        c, zc = c_new, zc_new
 
         if config.track_objective:
-            trace.append(objective_value(instance, state.B))
+            r = zc - y
+            trace.append(0.5 / n * float(r @ r) + lam * nuclear_norm(c))
+        if it % CHECK_EVERY == 0:
+            gap, infeasibility = _certificate(instance, cache, c, zc)
+            checked_at = it
+            if gap <= config.tol_primal and infeasibility <= config.tol_dual:
+                converged = True
+                break
 
-        rp_fit = np.linalg.norm(instance.y - state.xb - state.alpha) / y_scale
-        rp_split = np.linalg.norm(state.m1bm2 - state.C) / (
-            1.0 + np.linalg.norm(state.C)
-        )
-        rp = max(rp_fit, rp_split)
-        rd = max(
-            np.linalg.norm(state.B - prev_b) / (1.0 + np.linalg.norm(prev_b)),
-            np.linalg.norm(state.alpha - prev_alpha) / (1.0 + np.linalg.norm(prev_alpha)),
-            np.linalg.norm(state.C - prev_c) / (1.0 + np.linalg.norm(prev_c)),
-        )
-        if rp <= config.tol_primal and rd <= config.tol_dual:
-            converged = True
-            break
+    if checked_at != it:
+        # the returned iterate was not checked in the loop (cap, or no iterate)
+        gap, infeasibility = _certificate(instance, cache, c, zc)
+        converged = gap <= config.tol_primal and infeasibility <= config.tol_dual
 
+    theta_mat = cache.solve(c)
     elapsed_ms = (time.perf_counter() - t0) * 1e3
     return Solution(
-        B=instance.embed(state.B),
-        theta=state.theta.copy(),
-        objective=objective_value(instance, state.B),
-        iters=state.iteration,
+        B=instance.embed(theta_mat),
+        theta=(instance.stacked @ vec(theta_mat) - y) / n,
+        objective=objective_value(instance, theta_mat),
+        iters=it,
         converged=converged,
         solve_time_ms=elapsed_ms,
-        primal_residual=float(rp),
-        dual_residual=float(rd),
+        gap=float(gap),
+        dual_infeasibility=float(infeasibility),
         objective_trace=tuple(trace),
-        final_state=state,
+        final_state=theta_mat,
     )

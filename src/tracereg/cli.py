@@ -25,7 +25,7 @@ from .harness import (
     report,
     save_problem,
 )
-from .model import compute_weights, lambda_max, min_norm_least_squares, GramFactor
+from .model import compute_weights, lambda_max, min_norm_least_squares
 from .path import SAFETY_OBJECTIVE_RTOL, LambdaSchedule, full_path, screened_path
 from .prox import svd
 
@@ -37,9 +37,8 @@ EXIT_INPUT = 4
 
 def _add_solver_flags(sub):
     sub.add_argument("--gamma", type=float, default=1.0, help="weight exponent in (0, 1]")
-    sub.add_argument("--sigma", type=float, default=1.0, help="augmented Lagrangian parameter")
-    sub.add_argument("--tau", type=float, default=1.618, help="dual step size")
-    sub.add_argument("--tol", type=float, default=1e-6, help="convergence tolerance")
+    sub.add_argument("--tol", type=float, default=1e-6,
+                     help="relative duality gap and dual infeasibility tolerance")
     sub.add_argument("--max-iter", type=int, default=5000, help="iteration cap per solve")
 
 
@@ -49,11 +48,7 @@ def _add_grid_flags(sub, k_default=20):
 
 
 def _config(args):
-    return AdmmConfig(
-        sigma=args.sigma, tau=args.tau,
-        tol_primal=args.tol, tol_dual=args.tol,
-        max_iter=args.max_iter,
-    )
+    return AdmmConfig(tol_primal=args.tol, tol_dual=args.tol, max_iter=args.max_iter)
 
 
 def _emit(payload, out):
@@ -72,6 +67,7 @@ def _record_dict(rec):
         "rank": rec.rank,
         "iters": rec.iters,
         "converged": rec.converged,
+        "gap": rec.gap,
         "time_ms": rec.solve_time_ms,
         "screen_time_ms": rec.screen_time_ms,
         "screened_rows": rec.screened_rows,
@@ -126,9 +122,10 @@ def cmd_solve(args):
         "rank": int(svd(solution.B).rank),
         "iters": solution.iters,
         "converged": solution.converged,
+        "gap": solution.gap,
         "time_ms": solution.solve_time_ms,
-        "primal_residual": solution.primal_residual,
-        "dual_residual": solution.dual_residual,
+        "primal_residual": solution.gap,
+        "dual_residual": solution.dual_infeasibility,
         "B": solution.B.tolist(),
     }
     _emit(payload, args.out)

@@ -282,8 +282,12 @@ class BenchRecord:
 
 
 def prepare(problem, gamma=1.0, k=20, ratio=0.616):
-    """Weights, lambda_max and schedule for a problem; shared preprocessing."""
-    gram = GramFactor(problem)
+    """Weights, schedule and Gram factor for a problem; shared preprocessing.
+
+    The Gram factor is None when X X^T is singular (n > pq among others);
+    the pilot is then the least-squares fit, and only the full path runs.
+    """
+    gram = GramFactor(problem) if problem.full_row_rank else None
     b_ls = min_norm_least_squares(problem, gram)
     weights = compute_weights(b_ls, gamma, problem.n)
     lmax = lambda_max(problem, weights)

@@ -119,7 +119,16 @@ class GramFactor:
 
 
 def min_norm_least_squares(problem, gram=None):
-    """Minimum-norm interpolant: vec(B) = X^T (X X^T)^{-1} y."""
+    """Minimum-norm least-squares estimate of B.
+
+    For a full row rank design this is the interpolant
+    vec(B) = X^T (X X^T)^{-1} y. Without a Gram factor and with X X^T
+    singular (n > pq, or dependent rows) it is the least-squares fit
+    of minimum norm.
+    """
+    if gram is None and not problem.full_row_rank:
+        fit = np.linalg.lstsq(problem.stacked, problem.y, rcond=None)[0]
+        return unvec(fit, problem.p, problem.q)
     gram = gram or GramFactor(problem)
     return unvec(gram.row_space_map(problem.y), problem.p, problem.q)
 
@@ -180,21 +189,6 @@ def compute_weights(b_ls, gamma, n):
         W1=W1, W2=W2, W1inv=W1inv, W2inv=W2inv, gamma=gamma,
         s_raw=s, s_left=s_left, s_right=s_right, floored=floored,
     )
-
-
-def penalty_scales(weights):
-    """Geometric means of the singular values of W1 and W2.
-
-    lambda ||W1 B W2||_* is invariant under W1 -> W1/g1, W2 -> W2/g2,
-    lambda -> lambda g1 g2, and dividing out the geometric means puts the
-    penalty maps on unit scale. The weights can be badly out of scale (the
-    -gamma power of small least-squares singular values), which ruins the
-    conditioning of the ADMM splitting; the rescaled form converges in
-    hundreds of iterations where the raw form does not converge at all.
-    """
-    g1 = float(np.exp(-weights.gamma * np.mean(np.log(weights.s_left))))
-    g2 = float(np.exp(-weights.gamma * np.mean(np.log(weights.s_right))))
-    return g1, g2
 
 
 def lambda_max(problem, weights):

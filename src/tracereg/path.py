@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .admm import AdmmConfig, AdmmState, Solution, make_instance, precompute, solve
+from .admm import AdmmConfig, Solution, make_instance, precompute, solve
 from .model import GramFactor, min_norm_least_squares, vec
 from .screen import ScreenContext, screen
 
@@ -58,6 +58,7 @@ class PathRecord:
     iters: int
     converged: bool
     solve_time_ms: float
+    gap: float               # the solution's certified duality gap
     screen_time_ms: float = 0.0
     screened_rows: int = 0
     screened_cols: int = 0
@@ -87,7 +88,7 @@ def _kkt_theta(problem, b, lam):
 
 
 def full_path(problem, weights, schedule, config=None, warm_start=False):
-    """Solve the unreduced problem at every lambda, sharing one factorization."""
+    """Solve the unreduced problem at every lambda, sharing one precompute."""
     config = config or AdmmConfig()
     t_wall = time.perf_counter()
 
@@ -112,35 +113,12 @@ def full_path(problem, weights, schedule, config=None, warm_start=False):
                 iters=sol.iters,
                 converged=sol.converged,
                 solve_time_ms=sol.solve_time_ms,
+                gap=sol.gap,
                 kept_dims=(problem.p, problem.q),
             )
         )
     wall_ms = (time.perf_counter() - t_wall) * 1e3
     return PathResult(mode="full", records=tuple(records), setup_ms=setup_ms, wall_ms=wall_ms)
-
-
-def _restricted_state(instance, b_full, state):
-    """Warm start for a reduced instance from a full-space iterate.
-
-    The rotation bases change between grid points, so the previous Theta
-    cannot be reused directly; restricting the embedded solution onto the
-    new kept bases is exact whenever nothing newly screened was active.
-    The splitting variables and duals keep full-space shapes throughout.
-    """
-    b0 = b_full
-    if instance.left is not None:
-        b0 = instance.left.T @ b0
-    if instance.right is not None:
-        b0 = b0 @ instance.right
-    return AdmmState(
-        B=b0,
-        alpha=state.alpha.copy(),
-        C=state.C.copy(),
-        theta=state.theta.copy(),
-        D=state.D.copy(),
-        xb=instance.stacked @ vec(b0),
-        m1bm2=instance.M1 @ b0 @ instance.M2,
-    )
 
 
 def screened_path(problem, weights, schedule, config=None, epsilon=None, gram=None,
@@ -150,7 +128,10 @@ def screened_path(problem, weights, schedule, config=None, epsilon=None, gram=No
     The first grid point is solved unreduced to anchor the records; the
     screening pipeline is seeded with the minimum-norm interpolant (whose
     residual is exactly zero, making theta = 0 the matching dual estimate)
-    and afterwards tracks the singular bases of each embedded solution.
+    and afterwards tracks the singular bases of each embedded solution. A
+    level at which screening keeps every row and column is solved on the
+    unreduced instance with the first level's precompute, warm-started from
+    the previous B, exactly as the full path solves it.
     """
     if not problem.full_row_rank:
         raise ValueError("screening requires a numerically full row rank design")
@@ -166,8 +147,9 @@ def screened_path(problem, weights, schedule, config=None, epsilon=None, gram=No
 
     lam1 = float(schedule.values[0])
     t0 = time.perf_counter()
-    inst1 = make_instance(problem, weights, lam1)
-    sol1 = solve(inst1, config, cache=precompute(inst1))
+    base = make_instance(problem, weights, lam1)
+    cache = precompute(base)
+    sol1 = solve(base, config, cache=cache)
     solve1_ms = (time.perf_counter() - t0) * 1e3
     records = [
         PathRecord(
@@ -178,12 +160,13 @@ def screened_path(problem, weights, schedule, config=None, epsilon=None, gram=No
             iters=sol1.iters,
             converged=sol1.converged,
             solve_time_ms=solve1_ms,
+            gap=sol1.gap,
             kept_dims=(problem.p, problem.q),
         )
     ]
 
     theta_pipe = np.zeros(problem.n)
-    carried = (sol1.B, sol1.final_state) if warm_start else None
+    b_prev = sol1.B if warm_start else None
     for m in range(1, schedule.k):
         lam0 = float(schedule.values[m - 1])
         lam = float(schedule.values[m])
@@ -197,12 +180,18 @@ def screened_path(problem, weights, schedule, config=None, epsilon=None, gram=No
         screen_ms = (time.perf_counter() - t0) * 1e3
 
         t0 = time.perf_counter()
-        init = _restricted_state(outcome.reduced, *carried) if carried else None
-        sol = solve(outcome.reduced, config, cache=precompute(outcome.reduced),
-                    warm_start=init)
+        if outcome.kept_rows.size == problem.p and outcome.kept_cols.size == problem.q:
+            # nothing screened: the unreduced instance and its precompute serve
+            sol = solve(base.at_lambda(lam), config, cache=cache, warm_start=b_prev)
+        else:
+            # the bases rotate between levels, so warm-start from B restricted
+            # onto the kept bases; exact when nothing newly screened was active
+            reduced = outcome.reduced
+            init = None if b_prev is None else reduced.left.T @ b_prev @ reduced.right
+            sol = solve(reduced, config, cache=precompute(reduced), warm_start=init)
         solve_ms = (time.perf_counter() - t0) * 1e3
         if warm_start:
-            carried = (sol.B, sol.final_state)
+            b_prev = sol.B
 
         theta_pipe = _kkt_theta(problem, sol.B, lam)
         U, _, Vt = np.linalg.svd(sol.B, full_matrices=True)
@@ -216,6 +205,7 @@ def screened_path(problem, weights, schedule, config=None, epsilon=None, gram=No
                 iters=sol.iters,
                 converged=sol.converged,
                 solve_time_ms=solve_ms,
+                gap=sol.gap,
                 screen_time_ms=screen_ms,
                 screened_rows=int(outcome.screened_rows.size),
                 screened_cols=int(outcome.screened_cols.size),

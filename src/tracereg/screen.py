@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .admm import GeneralizedInstance
-from .model import min_norm_least_squares, penalty_scales
+from .model import min_norm_least_squares
 
 # screening threshold: entries of W below eps * (1 + max |W|) count as zero
 DEFAULT_EPSILON_REL = 1e-9
@@ -191,15 +191,13 @@ def screen(context, epsilon=None):
     u_kept = context.U[:, kept_rows]
     v_kept = context.V[:, kept_cols]
     xt = x_rot[:, kept_rows][:, :, kept_cols]
-    g1, g2 = penalty_scales(context.weights)
     reduced = GeneralizedInstance(
         Xt=xt,
         stacked=xt.transpose(0, 2, 1).reshape(n, kept_rows.size * kept_cols.size),
         y=problem.y,
-        M1=(context.weights.W1 / g1) @ u_kept,
-        M2=v_kept.T @ (context.weights.W2 / g2),
-        lam=context.lam * g1 * g2,
-        lam_scale=g1 * g2,
+        M1=context.weights.W1 @ u_kept,
+        M2=v_kept.T @ context.weights.W2,
+        lam=context.lam,
         left=u_kept,
         right=v_kept,
     )

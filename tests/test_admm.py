@@ -1,4 +1,4 @@
-"""Solver engine: instances, cached factorization, update steps, full solves."""
+"""Solver engine: instances, the per-instance precompute, certified solves."""
 
 import numpy as np
 import pytest
@@ -6,12 +6,11 @@ import pytest
 from tracereg import (
     AdmmConfig,
     GeneralizedInstance,
-    build_problem,
-    compute_weights,
-    dual_feasibility_gauge,
+    ShapeSpec,
+    full_path,
+    gen_shape,
     lambda_max,
     make_instance,
-    min_norm_least_squares,
     nuclear_norm,
     objective_value,
     precompute,
@@ -19,14 +18,6 @@ from tracereg import (
     subdifferential_residual,
     unvec,
     vec,
-)
-from tracereg.admm import (
-    AdmmState,
-    assemble_system,
-    update_alpha,
-    update_b,
-    update_c,
-    update_duals,
 )
 from tracereg.harness import GaussianSpec, gen_gaussian, prepare
 
@@ -45,35 +36,37 @@ def scalar_instance(y=2.0, lam=0.5):
     )
 
 
-def random_state(instance, rng):
-    return AdmmState(
-        B=rng.standard_normal((instance.d1, instance.d2)),
-        alpha=rng.standard_normal(instance.n),
-        C=rng.standard_normal((instance.p, instance.q)),
-        theta=rng.standard_normal(instance.n),
-        D=rng.standard_normal((instance.p, instance.q)),
-        xb=np.zeros(instance.n),
-        m1bm2=np.zeros((instance.p, instance.q)),
-    )
+def independent_gap(problem, weights, b, lam):
+    """P - D over ||y||^2/2n, from the paper's dual in original coordinates.
+
+    theta is the KKT estimate (X vec B - y)/(n lam) divided by its dual
+    gauge ||W1^{-1} (sum_i theta_i X_i) W2^{-1}||_2 when that exceeds 1.
+    """
+    n, y = problem.n, problem.y
+    fitted = np.einsum("npq,pq->n", problem.X, b)
+    resid = y - fitted
+    primal = resid @ resid / (2 * n) + lam * np.linalg.svd(
+        weights.W1 @ b @ weights.W2, compute_uv=False).sum()
+    theta = (fitted - y) / (n * lam)
+    g = np.einsum("n,npq->pq", theta, problem.X)
+    gauge = np.linalg.norm(
+        np.linalg.solve(weights.W2, np.linalg.solve(weights.W1, g).T).T, 2)
+    shifted = theta / max(1.0, gauge) + y / (n * lam)
+    dual = y @ y / (2 * n) - 0.5 * n * lam**2 * (shifted @ shifted)
+    return (primal - dual) / (y @ y / (2 * n))
 
 
 def test_config_validation():
-    with pytest.raises(ValueError, match="sigma"):
-        AdmmConfig(sigma=0.0)
-    with pytest.raises(ValueError, match="tau"):
-        AdmmConfig(tau=1.62)
-    with pytest.raises(ValueError, match="tau"):
-        AdmmConfig(tau=0.0)
     with pytest.raises(ValueError, match="tolerances"):
         AdmmConfig(tol_primal=0.0)
+    with pytest.raises(ValueError, match="tolerances"):
+        AdmmConfig(tol_dual=-1.0)
     with pytest.raises(ValueError, match="max_iter"):
         AdmmConfig(max_iter=0)
-    AdmmConfig(tau=1.618)  # just inside the golden ratio bound
 
 
 def test_make_instance_objective_bookkeeping():
-    # the rescaled maps and rescaled lambda must leave the user-facing
-    # objective untouched
+    # the instance objective is the user-facing one
     problem, weights, lam = small_setup(0)
     instance = make_instance(problem, weights, lam)
     rng = np.random.default_rng(0)
@@ -96,170 +89,46 @@ def test_at_lambda_scales_consistently():
     problem, weights, lam = small_setup(2)
     base = make_instance(problem, weights, lam)
     sibling = base.at_lambda(0.7 * lam)
-    assert np.isclose(sibling.lam, 0.7 * lam * base.lam_scale, rtol=1e-15)
+    assert sibling.lam == 0.7 * lam
     assert sibling.M1 is base.M1 and sibling.M2 is base.M2
     with pytest.raises(ValueError, match="positive"):
         base.at_lambda(-1.0)
 
 
-def test_assemble_system_hand_cases():
-    # zero designs with identity maps: the system is the identity
-    inst = GeneralizedInstance(
-        Xt=np.zeros((1, 2, 2)), stacked=np.zeros((1, 4)), y=np.zeros(1),
-        M1=np.eye(2), M2=np.eye(2), lam=1.0,
-    )
-    assert np.array_equal(assemble_system(inst), np.eye(4))
-
-    # single X = I_2: vec(I) vec(I)^T + I_4
-    inst = GeneralizedInstance(
-        Xt=np.eye(2)[None], stacked=vec(np.eye(2))[None], y=np.zeros(1),
-        M1=np.eye(2), M2=np.eye(2), lam=1.0,
-    )
-    v = vec(np.eye(2))
-    assert np.array_equal(assemble_system(inst), np.outer(v, v) + np.eye(4))
-
-
 def test_factor_cache_solves_the_system():
+    # C = R1 Theta R2^T carries the designs, the penalty and lambda_max over
+    # exactly, and solve() inverts it
     problem, weights, lam = small_setup(3)
     instance = make_instance(problem, weights, lam)
     cache = precompute(instance)
-    # n < d1 d2 takes the Woodbury route; check it against the matrix
-    assert cache.mode == "woodbury"
-    system = assemble_system(instance)
     rng = np.random.default_rng(3)
-    z = rng.standard_normal(instance.d1 * instance.d2)
-    assert np.linalg.norm(system @ cache.solve(z) - z) <= 1e-8 * np.linalg.norm(z)
-    assert cache.fallback is None
+    theta = rng.standard_normal((instance.d1, instance.d2))
+    c = cache.coordinates(theta)
+    assert np.linalg.norm(cache.solve(c) - theta) <= 1e-10 * np.linalg.norm(theta)
+    np.testing.assert_allclose(cache.Z @ vec(c), instance.stacked @ vec(theta),
+                               rtol=1e-9, atol=1e-9)
+    assert nuclear_norm(c) == pytest.approx(
+        nuclear_norm(weights.W1 @ theta @ weights.W2), rel=1e-10)
+    assert cache.lambda_max == pytest.approx(lambda_max(problem, weights), rel=1e-10)
+    assert cache.lipschitz == pytest.approx(
+        np.linalg.norm(cache.Z, 2) ** 2 / problem.n, rel=1e-12)
 
 
-def test_factor_cache_dense_route_when_overdetermined():
-    rng = np.random.default_rng(7)
-    n, d1, d2 = 9, 2, 3
-    xt = rng.standard_normal((n, d1, d2))
-    instance = GeneralizedInstance(
-        Xt=xt, stacked=xt.transpose(0, 2, 1).reshape(n, -1),
-        y=rng.standard_normal(n),
-        M1=np.diag([1.0, 2.0]), M2=np.diag([1.0, 0.5, 2.0]), lam=0.1,
-    )
-    cache = precompute(instance)
-    assert cache.mode == "dense"
-    system = assemble_system(instance)
-    z = rng.standard_normal(6)
-    assert np.linalg.norm(system @ cache.solve(z) - z) <= 1e-10 * np.linalg.norm(z)
-
-
-def test_factor_cache_routes_agree():
-    from tracereg.admm import FactorCache
-
-    for seed in range(4):
-        problem, weights, lam = small_setup(seed, p=4, q=5, n=11)
-        instance = make_instance(problem, weights, lam)
-        fast = precompute(instance)
-        dense = FactorCache.__new__(FactorCache)
-        dense.d1, dense.d2, dense.fallback = instance.d1, instance.d2, None
-        dense._build_dense(instance)
-        assert fast.mode == "woodbury" and dense.mode == "dense"
-        rng = np.random.default_rng(seed)
-        for _ in range(3):
-            z = rng.standard_normal(20)
-            a, b = fast.solve(z), dense.solve(z)
-            assert np.linalg.norm(a - b) <= 1e-10 * (1.0 + np.linalg.norm(b))
-
-
-def test_factor_cache_fallback_on_indefinite_system():
+def test_precompute_rejects_rank_deficient_map():
+    xt = np.ones((1, 2, 2))
+    for m1 in (np.zeros((2, 2)), np.array([[1.0, 1.0], [1.0, 1.0]])):
+        inst = GeneralizedInstance(
+            Xt=xt, stacked=vec(xt[0])[None], y=np.ones(1),
+            M1=m1, M2=np.eye(2), lam=1.0,
+        )
+        with pytest.raises(ValueError, match="M1 is rank deficient"):
+            precompute(inst)
     inst = GeneralizedInstance(
-        Xt=np.zeros((1, 2, 2)), stacked=np.zeros((1, 4)), y=np.zeros(1),
-        M1=np.zeros((2, 2)), M2=np.zeros((2, 2)), lam=1.0,
+        Xt=xt, stacked=vec(xt[0])[None], y=np.ones(1),
+        M1=np.eye(2), M2=np.zeros((2, 3)), lam=1.0,
     )
-    cache = precompute(inst)
-    assert cache.fallback is not None
-    assert np.array_equal(cache.solve(np.ones(4)), np.zeros(4))
-
-
-def test_update_b_stationarity():
-    problem, weights, lam = small_setup(4)
-    instance = make_instance(problem, weights, lam)
-    cache = precompute(instance)
-    config = AdmmConfig(sigma=1.3)
-    rng = np.random.default_rng(4)
-    state = random_state(instance, rng)
-    b_new = update_b(state, instance, cache, config)
-
-    sigma = config.sigma
-    system = assemble_system(instance)
-    rhs = vec(instance.M1.T @ (state.D + sigma * state.C) @ instance.M2.T)
-    rhs = rhs + instance.stacked.T @ (
-        sigma * instance.y - state.theta - sigma * state.alpha
-    )
-    resid = sigma * system @ vec(b_new) - rhs
-    assert np.linalg.norm(resid) <= 1e-8 * (1.0 + np.linalg.norm(rhs))
-
-
-def test_update_alpha_scalar_and_stationarity():
-    inst = scalar_instance()
-    config = AdmmConfig()
-    state = AdmmState.cold(inst)
-    assert np.allclose(update_alpha(state, inst, config), [1.0])
-
-    problem, weights, lam = small_setup(5)
-    instance = make_instance(problem, weights, lam)
-    rng = np.random.default_rng(5)
-    state = random_state(instance, rng)
-    state.xb = instance.stacked @ vec(state.B)
-    alpha = update_alpha(state, instance, config)
-    resid = alpha / instance.n + state.theta - config.sigma * (
-        instance.y - state.xb - alpha
-    )
-    assert np.linalg.norm(resid) <= 1e-10 * (1.0 + np.linalg.norm(alpha))
-
-
-def test_update_c_is_the_prox_step():
-    problem, weights, lam = small_setup(6)
-    instance = make_instance(problem, weights, lam)
-    config = AdmmConfig(sigma=0.8)
-    rng = np.random.default_rng(6)
-    state = random_state(instance, rng)
-    state.m1bm2 = instance.M1 @ state.B @ instance.M2
-    c_new = update_c(state, instance, config)
-
-    # prox optimality: (target - C)/(lam/sigma) is a plain nuclear norm
-    # subgradient at C (identity weights: padding with n = 1 keeps them I)
-    target = state.m1bm2 - state.D / config.sigma
-    identity = compute_weights(np.eye(instance.p, instance.q), 1.0, 1)
-    gap = (target - c_new) / (instance.lam / config.sigma)
-    assert subdifferential_residual(c_new, gap, identity) <= 1e-7
-
-    # full thresholding: a huge lambda zeroes C
-    big = GeneralizedInstance(
-        Xt=instance.Xt, stacked=instance.stacked, y=instance.y,
-        M1=instance.M1, M2=instance.M2, lam=1e9,
-    )
-    assert np.allclose(update_c(state, big, config), 0.0)
-
-
-def test_update_duals():
-    problem, weights, lam = small_setup(7)
-    instance = make_instance(problem, weights, lam)
-    config = AdmmConfig()
-    rng = np.random.default_rng(7)
-    state = random_state(instance, rng)
-    state.xb = instance.stacked @ vec(state.B)
-    state.m1bm2 = instance.M1 @ state.B @ instance.M2
-
-    theta_new, d_new = update_duals(state, instance, config)
-    step = config.tau * config.sigma
-    r_fit = instance.y - state.xb - state.alpha
-    assert np.isclose(
-        np.linalg.norm(theta_new - state.theta), step * np.linalg.norm(r_fit)
-    )
-    assert np.allclose(d_new, state.D - step * (state.m1bm2 - state.C))
-
-    # a feasible state leaves both multipliers unchanged
-    state.alpha = instance.y - state.xb
-    state.C = state.m1bm2.copy()
-    theta_new, d_new = update_duals(state, instance, config)
-    assert np.array_equal(theta_new, state.theta)
-    assert np.array_equal(d_new, state.D)
+    with pytest.raises(ValueError, match="M2 is rank deficient"):
+        precompute(inst)
 
 
 def test_solve_scalar_soft_threshold():
@@ -271,30 +140,25 @@ def test_solve_scalar_soft_threshold():
 
 
 def test_solve_zero_at_lambda_max():
-    # the iterate norm tracks the solver tolerance (about 10x), so certify
-    # the zero solution at a tolerance below the 1e-6 target
-    config = AdmmConfig(tol_primal=1e-8, tol_dual=1e-8, max_iter=50000)
+    # the first step from zero is thresholded away entirely above lambda_max
     for seed in range(3):
         problem, weights, _ = small_setup(10 + seed)
         lmax = lambda_max(problem, weights)
-        sol = solve(make_instance(problem, weights, 1.05 * lmax), config)
+        sol = solve(make_instance(problem, weights, 1.05 * lmax))
         assert sol.converged
-        assert np.linalg.norm(sol.B) <= 1e-6
+        assert not np.any(sol.B)
 
 
 def test_solve_kkt_at_convergence():
-    # solve well below the rank-cut rtol so the noise singular values of
-    # W1 B W2 cannot masquerade as active directions
     config = AdmmConfig(tol_primal=1e-8, tol_dual=1e-8, max_iter=100000)
     for seed in range(5):
         problem, weights, lam = small_setup(20 + seed)
         sol = solve(make_instance(problem, weights, lam), config)
         assert sol.converged
-
-        theta_kkt = (problem.stacked @ vec(sol.B) - problem.y) / (problem.n * lam)
-        stat = problem.y - problem.stacked @ vec(sol.B) + problem.n * lam * theta_kkt
-        assert np.linalg.norm(stat) <= 1e-6 * (1.0 + np.linalg.norm(problem.y))
-        assert dual_feasibility_gauge(theta_kkt, problem, weights) <= 1.0 + 1e-6
+        assert sol.gap <= 1e-8 and sol.dual_infeasibility <= 1e-8
+        np.testing.assert_allclose(
+            sol.theta, (problem.stacked @ vec(sol.B) - problem.y) / problem.n,
+            rtol=1e-12, atol=1e-15)
 
         # stationarity: the negative loss gradient scaled by 1/lambda is a
         # subgradient of the weighted nuclear norm at the solution
@@ -305,14 +169,25 @@ def test_solve_kkt_at_convergence():
         assert subdifferential_residual(sol.B, g, weights, rtol=1e-5) <= 1e-5
 
 
+def test_reported_gap_matches_independent_dual():
+    for seed, max_iter in ((40, 3), (41, 7), (42, 5000)):
+        problem, weights, lam = small_setup(seed)
+        sol = solve(make_instance(problem, weights, lam), AdmmConfig(max_iter=max_iter))
+        own = independent_gap(problem, weights, sol.B, lam)
+        assert own >= -1e-12
+        assert abs(sol.gap - own) <= 1e-9 + 1e-6 * own
+    assert sol.converged and sol.gap <= 1e-6
+
+
 def test_solve_objective_eventually_decreases():
     problem, weights, lam = small_setup(30)
     inst = make_instance(problem, weights, lam)
-    sol = solve(inst, AdmmConfig(track_objective=True))
+    sol = solve(inst, AdmmConfig(tol_primal=1e-10, tol_dual=1e-10,
+                                 track_objective=True))
     trace = sol.objective_trace
     assert len(trace) == sol.iters
     assert trace[-1] <= trace[9] + 1e-10
-    assert abs(sol.objective - objective_value(inst, sol.final_state.B)) <= 1e-12 * (
+    assert abs(sol.objective - objective_value(inst, sol.final_state)) <= 1e-12 * (
         1.0 + abs(sol.objective)
     )
 
@@ -323,6 +198,7 @@ def test_solve_reports_non_convergence():
     sol = solve(inst, AdmmConfig(max_iter=3))
     assert not sol.converged
     assert sol.iters == 3
+    assert sol.gap > 1e-6 or sol.dual_infeasibility > 1e-6
 
 
 def test_warm_start_reduces_total_iterations():
@@ -331,12 +207,14 @@ def test_warm_start_reduces_total_iterations():
     lams = [0.2 * lmax, 0.25 * lmax, 0.3 * lmax, 0.35 * lmax]
     base = make_instance(problem, weights, lams[0])
     cache = precompute(base)
+    # tight enough that the solves outlast a few certificate checks
+    config = AdmmConfig(tol_primal=1e-10, tol_dual=1e-10)
 
-    cold = [solve(base.at_lambda(l), cache=cache).iters for l in lams]
+    cold = [solve(base.at_lambda(l), config, cache=cache).iters for l in lams]
     state = None
     warm = []
     for l in lams:
-        sol = solve(base.at_lambda(l), cache=cache, warm_start=state)
+        sol = solve(base.at_lambda(l), config, cache=cache, warm_start=state)
         warm.append(sol.iters)
         state = sol.final_state
     assert sum(warm) < sum(cold)
@@ -356,7 +234,7 @@ def test_rotation_equivalence():
         stacked=x_rot.transpose(0, 2, 1).reshape(problem.n, -1),
         y=problem.y,
         M1=base.M1 @ u, M2=v.T @ base.M2,
-        lam=base.lam, lam_scale=base.lam_scale,
+        lam=base.lam,
         left=u, right=v,
     )
     sol0 = solve(base)
@@ -364,3 +242,17 @@ def test_rotation_equivalence():
     assert sol0.converged and sol1.converged
     assert np.linalg.norm(sol0.B - sol1.B) <= 1e-6 * (1.0 + np.linalg.norm(sol0.B))
     assert abs(sol0.objective - sol1.objective) <= 1e-8 * (1.0 + sol0.objective)
+
+
+def test_cross32_n10_certified_zero_and_path():
+    # 1024 unknowns against 10 rows: the problem the residual-stopped solver
+    # could not finish within its iteration cap
+    problem, _ = gen_shape(ShapeSpec("cross", size=32, n=10, seed=0))
+    weights, schedule, _ = prepare(problem, k=10)
+    sol = solve(make_instance(problem, weights, 1.05 * schedule.lambda_max))
+    assert sol.converged
+    assert not np.any(sol.B)
+
+    result = full_path(problem, weights, schedule)
+    assert all(r.converged for r in result.records)
+    assert all(r.gap <= 1e-6 for r in result.records)

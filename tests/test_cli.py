@@ -78,10 +78,14 @@ def test_solve_payload(tmp_path, capsys):
     assert code == EXIT_OK
     payload = json.loads(out)
     assert set(payload) == {
-        "lambda", "objective", "rank", "iters", "converged", "time_ms",
+        "lambda", "objective", "rank", "iters", "converged", "gap", "time_ms",
         "primal_residual", "dual_residual", "B",
     }
     assert payload["converged"] is True
+    # primal_residual is the relative duality gap, dual_residual the
+    # relative dual infeasibility; both certify convergence at --tol
+    assert payload["primal_residual"] == payload["gap"] <= 1e-6
+    assert 0.0 <= payload["dual_residual"] <= 1e-6
     assert payload["objective"] > 0
     b = payload["B"]
     assert len(b) == 4 and len(b[0]) == 5
@@ -137,9 +141,10 @@ def test_path_both_modes(tmp_path, capsys):
     assert payload["totals"]["objective_mismatch"] <= 1e-6
     rec = payload["records"][0]
     assert set(rec) == {
-        "lambda", "objective", "rank", "iters", "converged", "time_ms",
+        "lambda", "objective", "rank", "iters", "converged", "gap", "time_ms",
         "screen_time_ms", "screened_rows", "screened_cols", "kept_dims",
     }
+    assert all(r["gap"] <= 1e-6 for r in payload["records"])
 
 
 def test_path_single_mode_totals(tmp_path, capsys):
@@ -154,6 +159,30 @@ def test_path_single_mode_totals(tmp_path, capsys):
                            "--k", "2", "--mode", "screened", "--warm-start")
     assert code == EXIT_OK
     assert set(json.loads(out)["totals"]) == {"T_s_ms"}
+
+
+@pytest.mark.filterwarnings("ignore:stacked design is not numerically full row rank")
+def test_path_full_mode_with_more_samples_than_entries(tmp_path, capsys):
+    # n = 400 > pq = 150: the Gram matrix is singular, the pilot is the
+    # least-squares fit, and only screening needs full row rank
+    code, out, _ = run_cli(capsys, "generate", "--p", "10", "--q", "15",
+                           "--n", "400", "--out", str(tmp_path))
+    assert code == EXIT_OK
+    manifest = out.strip()
+    code, out, _ = run_cli(capsys, "path", "--manifest", manifest,
+                           "--mode", "full", "--k", "5")
+    assert code == EXIT_OK
+    records = json.loads(out)["records"]
+    assert len(records) == 5 and all(r["converged"] for r in records)
+
+    code, out, _ = run_cli(capsys, "solve", "--manifest", manifest)
+    assert code == EXIT_OK
+    assert json.loads(out)["converged"] is True
+
+    code, _, err = run_cli(capsys, "path", "--manifest", manifest,
+                           "--mode", "screened", "--k", "5")
+    assert code == EXIT_INPUT
+    assert "full row rank" in err
 
 
 def test_path_iteration_cap_exit(tmp_path, capsys):

@@ -9,7 +9,6 @@ from tracereg import (
     compute_weights,
     lambda_max,
     min_norm_least_squares,
-    penalty_scales,
     unvec,
     vec,
 )
@@ -188,20 +187,19 @@ def test_compute_weights_validation():
         compute_weights(np.eye(2), 1.0, 0)
 
 
-def test_penalty_scales_preserve_objective():
-    rng = np.random.default_rng(9)
-    problem, _ = gen_gaussian(GaussianSpec(p=5, q=7, n=8, seed=9))
-    w = compute_weights(min_norm_least_squares(problem), 1.0, 8)
-    g1, g2 = penalty_scales(w)
-    assert g1 > 0 and g2 > 0
-    for _ in range(5):
-        b = rng.standard_normal((5, 7))
-        lam = float(rng.uniform(0.1, 2.0))
-        raw = lam * np.linalg.svd(w.W1 @ b @ w.W2, compute_uv=False).sum()
-        scaled = (lam * g1 * g2) * np.linalg.svd(
-            (w.W1 / g1) @ b @ (w.W2 / g2), compute_uv=False
-        ).sum()
-        assert abs(raw - scaled) <= 1e-12 * (1.0 + abs(raw))
+def test_least_squares_pilot_when_gram_is_singular():
+    # n > pq: X X^T is singular, so the pilot is the least-squares fit and
+    # prepare hands out no Gram factor
+    from tracereg import prepare
+
+    with pytest.warns(UserWarning, match="full row rank"):
+        problem, _ = gen_gaussian(GaussianSpec(p=3, q=4, n=40, seed=12))
+    b_ls = min_norm_least_squares(problem)
+    normal = problem.stacked.T @ (problem.stacked @ vec(b_ls) - problem.y)
+    assert np.linalg.norm(normal) <= 1e-10 * np.linalg.norm(problem.stacked.T @ problem.y)
+    weights, schedule, gram = prepare(problem, k=3)
+    assert gram is None
+    assert schedule.lambda_max == lambda_max(problem, weights)
 
 
 def test_kronecker_identity():
