@@ -8,9 +8,12 @@ With the QR factors M1 = Q1 R1 and M2^T = Q2 R2 the penalty equals
 ||R1 Theta R2^T||_*, so in the coordinates C = R1 Theta R2^T the problem is
 a plain nuclear norm regression on the designs Z_i = R1^{-T} Xt_i R2^{-1}.
 FISTA (Beck & Teboulle 2009) with gradient restart (O'Donoghue & Candes
-2015) runs there: one gradient, one singular value soft threshold per
-iteration, no linear system. Every CHECK_EVERY iterations the iterate is
-certified with the residual r = Z c - y:
+2015) runs there: one gradient and one singular value soft threshold per
+iteration, no linear system; the threshold costs one eigendecomposition of
+a min(d1, d2)-square Gram matrix (prox_nuclear). Every CHECK_EVERY
+iterations the iterate is certified with the residual r = Z c - y, at the
+cost of the singular values of c and the top eigenvalue of a Gram of Z^T r,
+no singular vectors:
 
 - the duality gap P - D, with the dual D(theta) = ||y||^2/2n
   - (n lambda^2/2) ||theta + y/(n lambda)||^2 taken at theta = r/(n lambda)

@@ -134,6 +134,10 @@ def cmd_solve(args):
 
 def cmd_path(args):
     problem = load_problem(args.manifest)
+    if args.mode != "full" and not problem.full_row_rank:
+        # fail before the full path runs, not after it
+        raise ValueError("screening requires a numerically full row rank design; "
+                         "use path --mode full")
     weights, schedule, _ = prepare(problem, gamma=args.gamma, k=args.k, ratio=args.ratio)
     if args.lambda_max_ratio != 1.0:
         schedule = LambdaSchedule(

@@ -17,6 +17,7 @@ import numpy as np
 
 from .admm import AdmmConfig, Solution, make_instance, precompute, solve
 from .model import GramFactor, min_norm_least_squares, vec
+from .prox import svd
 from .screen import ScreenContext, screen
 
 
@@ -42,11 +43,8 @@ class LambdaSchedule:
         self.values.flags.writeable = False
 
 
-def _rank(b, rtol=1e-6):
-    s = np.linalg.svd(b, compute_uv=False)
-    if s.size == 0 or s[0] == 0:
-        return 0
-    return int(np.sum(s > rtol * s[0]))
+# singular values of B below this share of its largest do not count to its rank
+RANK_RTOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -109,7 +107,7 @@ def full_path(problem, weights, schedule, config=None, warm_start=False):
                 lam=float(lam),
                 solution=sol,
                 theta=_kkt_theta(problem, sol.B, lam),
-                rank=_rank(sol.B),
+                rank=svd(sol.B, rtol=RANK_RTOL).rank,
                 iters=sol.iters,
                 converged=sol.converged,
                 solve_time_ms=sol.solve_time_ms,
@@ -141,8 +139,8 @@ def screened_path(problem, weights, schedule, config=None, epsilon=None, gram=No
     t0 = time.perf_counter()
     gram = gram or GramFactor(problem)
     b_ls = min_norm_least_squares(problem, gram)
-    U, _, Vt = np.linalg.svd(b_ls, full_matrices=True)
-    V = Vt.T
+    bases = svd(b_ls, full=True)
+    U, V = bases.U_full, bases.V_full
     setup_ms = (time.perf_counter() - t0) * 1e3
 
     lam1 = float(schedule.values[0])
@@ -156,7 +154,7 @@ def screened_path(problem, weights, schedule, config=None, epsilon=None, gram=No
             lam=lam1,
             solution=sol1,
             theta=_kkt_theta(problem, sol1.B, lam1),
-            rank=_rank(sol1.B),
+            rank=svd(sol1.B, rtol=RANK_RTOL).rank,
             iters=sol1.iters,
             converged=sol1.converged,
             solve_time_ms=solve1_ms,
@@ -194,14 +192,14 @@ def screened_path(problem, weights, schedule, config=None, epsilon=None, gram=No
             b_prev = sol.B
 
         theta_pipe = _kkt_theta(problem, sol.B, lam)
-        U, _, Vt = np.linalg.svd(sol.B, full_matrices=True)
-        V = Vt.T
+        bases = svd(sol.B, full=True, rtol=RANK_RTOL)
+        U, V = bases.U_full, bases.V_full
         records.append(
             PathRecord(
                 lam=lam,
                 solution=sol,
                 theta=theta_pipe,
-                rank=_rank(sol.B),
+                rank=bases.rank,
                 iters=sol.iters,
                 converged=sol.converged,
                 solve_time_ms=solve_ms,

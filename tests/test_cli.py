@@ -185,6 +185,24 @@ def test_path_full_mode_with_more_samples_than_entries(tmp_path, capsys):
     assert "full row rank" in err
 
 
+@pytest.mark.filterwarnings("ignore:stacked design is not numerically full row rank")
+def test_path_both_modes_fail_fast_without_full_row_rank(tmp_path, capsys, monkeypatch):
+    # the screened half cannot run on n = 400 > pq = 150, so the command
+    # must stop before it spends any time on the full half
+    code, out, _ = run_cli(capsys, "generate", "--p", "10", "--q", "15",
+                           "--n", "400", "--out", str(tmp_path))
+    assert code == EXIT_OK
+    manifest = out.strip()
+    calls = []
+    monkeypatch.setattr("tracereg.cli.full_path", lambda *a, **k: calls.append(a))
+    code, out, err = run_cli(capsys, "path", "--manifest", manifest,
+                             "--mode", "both", "--k", "5")
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert "full row rank" in err and "--mode full" in err
+    assert calls == []
+
+
 def test_path_iteration_cap_exit(tmp_path, capsys):
     manifest = generate(capsys, tmp_path)
     code, out, _ = run_cli(capsys, "path", "--manifest", manifest,

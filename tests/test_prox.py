@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+import tracereg.admm
 from tracereg import (
     build_problem,
+    full_path,
     compute_weights,
     dual_feasibility_gauge,
     lambda_max,
@@ -16,7 +18,9 @@ from tracereg import (
     svd,
     unvec,
 )
-from tracereg.harness import GaussianSpec, gen_gaussian
+from tracereg import prox as prox_module
+from tracereg.admm import CHECK_EVERY
+from tracereg.harness import GaussianSpec, gen_gaussian, prepare
 
 
 def test_svd_zero_matrix():
@@ -169,3 +173,120 @@ def test_fenchel_young_inequality():
         lhs = float(np.sum(s * b))
         rhs = nuclear_norm(w.W1 @ b @ w.W2)
         assert lhs <= rhs + 1e-10 * (1.0 + rhs)
+
+
+# ------------------------------------------- references from np.linalg.svd
+
+
+def svd_prox(m, t):
+    U, s, Vt = np.linalg.svd(m, full_matrices=False)
+    return (U * np.maximum(s - t, 0.0)) @ Vt
+
+
+def svd_nuclear_norm(m):
+    return float(np.linalg.svd(m, compute_uv=False).sum()) if m.size else 0.0
+
+
+def svd_spectral_norm(m):
+    return float(np.linalg.svd(m, compute_uv=False)[0]) if m.size else 0.0
+
+
+def with_singular_values(rng, p, q, sigma):
+    """A p x q matrix with the given singular values and random bases."""
+    r = len(sigma)
+    U, _ = np.linalg.qr(rng.standard_normal((p, r)))
+    V, _ = np.linalg.qr(rng.standard_normal((q, r)))
+    return (U * np.asarray(sigma, dtype=float)) @ V.T
+
+
+def reference_cases():
+    rng = np.random.default_rng(10)
+    cases = [pytest.param(rng.standard_normal((p, q)), id=f"{p}x{q}")
+             for p, q in ((3, 8), (15, 45), (8, 3), (45, 15), (6, 6), (32, 32), (1, 7), (7, 1))]
+    return cases + [
+        pytest.param(with_singular_values(rng, 6, 11, [3.0, 0.4]), id="rank2-wide"),
+        pytest.param(with_singular_values(rng, 12, 5, [2.0, 1.0, 0.5]), id="rank3-tall"),
+        pytest.param(np.zeros((4, 6)), id="zero"),
+    ]
+
+
+@pytest.mark.parametrize("m", reference_cases())
+def test_linear_algebra_matches_svd_reference(m):
+    s = np.linalg.svd(m, compute_uv=False)
+    scale = max(s[0], 1.0)
+    assert abs(nuclear_norm(m) - svd_nuclear_norm(m)) <= 1e-13 * max(s.sum(), 1.0)
+    assert abs(spectral_norm(m) - svd_spectral_norm(m)) <= 1e-13 * scale
+    for share in (0.0, 0.05, 0.3, 0.7, 1.2):
+        t = share * s[0] if s[0] > 0 else share
+        out = prox_nuclear(m, t)
+        assert out.shape == m.shape
+        assert np.linalg.norm(out - svd_prox(m, t), 2) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 4), (3, 0)])
+def test_linear_algebra_on_empty_inputs(shape):
+    m = np.zeros(shape)
+    assert nuclear_norm(m) == 0.0
+    assert spectral_norm(m) == 0.0
+    out = prox_nuclear(m, 0.5)
+    assert out.shape == shape
+
+
+@pytest.mark.parametrize("p,q", [(10, 20), (20, 10)])
+def test_prox_nuclear_clustered_singular_values_straddling_t(p, q):
+    # clusters a relative 1e-9 to 1e-3 around t: whichever side of t a value
+    # lands on, its share of the output is within rounding of the reference
+    rng = np.random.default_rng(11)
+    t = 0.5
+    sigma = [2.0, 2.0 * (1 + 1e-12), t * (1 + 1e-3), t * (1 + 1e-9), t, t * (1 - 1e-9),
+             t * (1 - 1e-3), 0.1, 0.1 * (1 + 1e-13)]
+    for _ in range(5):
+        m = with_singular_values(rng, p, q, sigma)
+        assert np.linalg.norm(prox_nuclear(m, t) - svd_prox(m, t), 2) <= 1e-12 * 2.0
+        assert abs(nuclear_norm(m) - sum(sigma)) <= 1e-13 * sum(sigma)
+        assert abs(spectral_norm(m) - 2.0 * (1 + 1e-12)) <= 1e-13 * 2.0
+
+
+@pytest.mark.parametrize("p,q", [(15, 45), (45, 15)])
+def test_prox_nuclear_falls_back_to_svd_below_gram_resolution(p, q, monkeypatch):
+    # t far below sqrt(max(p, q) eps) sigma_max: the Gram cannot tell the
+    # singular values near t from noise, so the thin SVD must answer
+    calls = []
+    fallback = prox_module._prox_nuclear_svd
+    monkeypatch.setattr(prox_module, "_prox_nuclear_svd",
+                        lambda m, t: calls.append(t) or fallback(m, t))
+    rng = np.random.default_rng(12)
+    t = 1e-10
+    m = with_singular_values(rng, p, q, [1.0, 1e-3, 1e-6, 3e-10, 1.5e-10, 5e-11, 1e-12])
+    cut = prox_module.GRAM_RESOLUTION * np.sqrt(max(p, q) * prox_module.EPS)
+    assert t < cut
+    out = prox_nuclear(m, t)
+    assert calls == [t]
+    assert np.linalg.norm(out - svd_prox(m, t), 2) <= 1e-14
+    # the kept singular values just above t come out at (sigma - t)
+    s = np.linalg.svd(out, compute_uv=False)
+    np.testing.assert_allclose(s[:5], [1.0 - t, 1e-3 - t, 1e-6 - t, 2e-10, 0.5e-10],
+                               rtol=1e-6, atol=1e-20)
+
+    # just above the cut the Gram route answers
+    calls.clear()
+    t = 2.0 * cut
+    assert np.linalg.norm(prox_nuclear(m, t) - svd_prox(m, t), 2) <= 1e-12
+    assert calls == []
+
+
+def test_solver_path_matches_svd_based_helpers(monkeypatch):
+    # a warm path solved with the Gram/LAPACK helpers and again with helpers
+    # built on np.linalg.svd: the same iterates up to rounding
+    problem, _ = gen_gaussian(GaussianSpec(p=6, q=10, n=25, seed=13))
+    weights, schedule, _ = prepare(problem, k=6)
+    fast = full_path(problem, weights, schedule, warm_start=True)
+    monkeypatch.setattr(tracereg.admm, "prox_nuclear", svd_prox)
+    monkeypatch.setattr(tracereg.admm, "nuclear_norm", svd_nuclear_norm)
+    monkeypatch.setattr(tracereg.admm, "spectral_norm", svd_spectral_norm)
+    slow = full_path(problem, weights, schedule, warm_start=True)
+    assert sum(r.iters for r in fast.records) > 50
+    for a, b in zip(fast.records, slow.records):
+        assert a.converged and b.converged
+        assert abs(a.iters - b.iters) <= CHECK_EVERY
+        assert abs(a.solution.objective - b.solution.objective) <= 1e-10 * abs(b.solution.objective)
