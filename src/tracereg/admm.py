@@ -52,7 +52,6 @@ class AdmmConfig:
     tol_primal: float = 1e-6     # duality gap, relative to ||y||^2/2n
     tol_dual: float = 1e-6       # dual infeasibility, relative to lambda_max
     max_iter: int = 5000
-    track_objective: bool = False
 
     def __post_init__(self):
         if self.tol_primal <= 0 or self.tol_dual <= 0:
@@ -193,7 +192,6 @@ class Solution:
     solve_time_ms: float
     gap: float             # duality gap relative to ||y||^2/2n
     dual_infeasibility: float   # (||Z^T r||_2/n - lambda)_+ relative to lambda_max
-    objective_trace: tuple = ()
     final_state: np.ndarray | None = None   # d1 x d2 iterate, for warm starts
 
 
@@ -235,7 +233,6 @@ def solve(instance, config=None, cache=None, warm_start=None):
     zc = z_mat @ vec(c)
     x, zx, t = c, zc, 1.0
     step = 1.0 / cache.lipschitz if cache.lipschitz > 0 else 0.0
-    trace = []
     converged = False
     checked_at = None
     it = 0
@@ -256,9 +253,6 @@ def solve(instance, config=None, cache=None, warm_start=None):
             t = t_new
         c, zc = c_new, zc_new
 
-        if config.track_objective:
-            r = zc - y
-            trace.append(0.5 / n * float(r @ r) + lam * nuclear_norm(c))
         if it % CHECK_EVERY == 0:
             gap, infeasibility = _certificate(instance, cache, c, zc)
             checked_at = it
@@ -282,6 +276,5 @@ def solve(instance, config=None, cache=None, warm_start=None):
         solve_time_ms=elapsed_ms,
         gap=float(gap),
         dual_infeasibility=float(infeasibility),
-        objective_trace=tuple(trace),
         final_state=theta_mat,
     )

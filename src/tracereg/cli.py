@@ -26,7 +26,7 @@ from .harness import (
     save_problem,
 )
 from .model import compute_weights, lambda_max, min_norm_least_squares
-from .path import SAFETY_OBJECTIVE_RTOL, LambdaSchedule, full_path, screened_path
+from .path import LambdaSchedule, compare, full_path, screened_path
 from .prox import svd
 
 EXIT_OK = 0
@@ -146,36 +146,36 @@ def cmd_path(args):
         )
     config = _config(args)
 
-    results = {}
-    if args.mode in ("full", "both"):
+    results, totals = {}, {}
+    if args.mode == "both":
+        comparison = compare(problem, weights, schedule, config, epsilon=args.epsilon,
+                             warm_start=args.warm_start)
+        results = {"full": comparison.full, "screened": comparison.screened}
+        totals = {
+            "T_f_ms": float(comparison.t_full_ms[-1]),
+            "T_s_ms": float(comparison.t_screened_ms[-1]),
+            "speedup": float(comparison.speedups[-1]),
+            "objective_mismatch": float(np.max(comparison.obj_mismatch)),
+        }
+    elif args.mode == "full":
         results["full"] = full_path(problem, weights, schedule, config,
                                     warm_start=args.warm_start)
-    if args.mode in ("screened", "both"):
+        totals["T_f_ms"] = results["full"].total_ms
+    else:
         results["screened"] = screened_path(problem, weights, schedule, config,
                                             epsilon=args.epsilon,
                                             warm_start=args.warm_start)
+        totals["T_s_ms"] = results["screened"].total_ms
 
     primary = results.get("screened") or results["full"]
     payload = {"mode": args.mode,
-               "records": [_record_dict(r) for r in primary.records]}
-    totals = {}
-    if "full" in results:
-        totals["T_f_ms"] = results["full"].total_ms
-    if "screened" in results:
-        totals["T_s_ms"] = results["screened"].total_ms
-    if len(results) == 2:
-        totals["speedup"] = totals["T_f_ms"] / totals["T_s_ms"]
-        mismatch = np.max(
-            np.abs(results["screened"].objectives() - results["full"].objectives())
-            / np.maximum(np.abs(results["full"].objectives()), 1e-300)
-        )
-        totals["objective_mismatch"] = float(mismatch)
-    payload["totals"] = totals
+               "records": [_record_dict(r) for r in primary.records],
+               "totals": totals}
     _emit(payload, args.out)
 
     if not all(r.converged for res in results.values() for r in res.records):
         return EXIT_NO_CONVERGENCE
-    if len(results) == 2 and totals["objective_mismatch"] > SAFETY_OBJECTIVE_RTOL:
+    if args.mode == "both" and not comparison.safety_ok:
         return EXIT_SAFETY
     return EXIT_OK
 

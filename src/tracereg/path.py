@@ -1,11 +1,14 @@
 """Solution paths over a lambda grid, with and without screening.
 
-The screened path follows the sequential rule: after each solve, the
-singular bases of the current solution and the KKT dual estimate feed the
-screening step for the next (larger) lambda, which shrinks the problem
-before the solver runs. Timing totals separate solver work from screening
-work so the two paths can be compared honestly; weight construction is
-shared preprocessing and excluded from both.
+One runner walks the grid in ascending lambda and solves every level; the
+full and screened paths differ only in an optional screening step in front
+of each solve. That step follows the sequential rule: the singular bases
+of the previous solution and its KKT dual estimate bound the next
+solution, and the rows and columns bounded to zero are dropped before the
+solver runs. A step that drops nothing leaves the level to be solved
+exactly as the full path solves it. Timing totals separate setup, solver
+and screening work so the two paths can be compared honestly; weight
+construction is shared preprocessing and excluded from both.
 """
 
 from __future__ import annotations
@@ -68,7 +71,6 @@ class PathResult:
     mode: str                # "full" or "screened"
     records: tuple
     setup_ms: float          # shared factorization / initialization work
-    wall_ms: float
 
     @property
     def total_ms(self):
@@ -81,139 +83,97 @@ class PathResult:
         return np.array([r.solution.objective for r in self.records])
 
 
-def _kkt_theta(problem, b, lam):
-    return (problem.stacked @ vec(b) - problem.y) / (problem.n * lam)
-
-
 def full_path(problem, weights, schedule, config=None, warm_start=False):
     """Solve the unreduced problem at every lambda, sharing one precompute."""
+    return _run_path("full", problem, weights, schedule, config, warm_start)
+
+
+def screened_path(problem, weights, schedule, config=None, epsilon=None, gram=None,
+                  warm_start=False):
+    """The path with a screening step in front of every level after the first."""
+    if not problem.full_row_rank:
+        raise ValueError("screening requires a numerically full row rank design")
+    return _run_path("screened", problem, weights, schedule, config, warm_start,
+                     epsilon=epsilon, gram=gram)
+
+
+def _run_path(mode, problem, weights, schedule, config, warm_start, epsilon=None,
+              gram=None):
+    """Solve every level in ascending lambda; screen first in "screened" mode.
+
+    The first level only anchors the records. The screening pipeline stays
+    seeded with the minimum-norm interpolant (its residual is exactly zero,
+    so theta = 0 is the matching dual estimate) until the second level's
+    solution, and tracks each solution's singular bases from then on.
+    """
     config = config or AdmmConfig()
-    t_wall = time.perf_counter()
+    screening = mode == "screened"
 
     t0 = time.perf_counter()
+    if screening:
+        gram = gram or GramFactor(problem)
+        bases = svd(min_norm_least_squares(problem, gram), full=True)
+        theta_pipe = np.zeros(problem.n)
     base = make_instance(problem, weights, schedule.values[0])
     cache = precompute(base)
     setup_ms = (time.perf_counter() - t0) * 1e3
 
     records = []
-    state = None
-    for lam in schedule.values:
-        instance = base.at_lambda(float(lam))
-        sol = solve(instance, config, cache=cache, warm_start=state)
-        if warm_start:
-            state = sol.final_state
-        records.append(
-            PathRecord(
-                lam=float(lam),
-                solution=sol,
-                theta=_kkt_theta(problem, sol.B, lam),
-                rank=svd(sol.B, rtol=RANK_RTOL).rank,
-                iters=sol.iters,
-                converged=sol.converged,
-                solve_time_ms=sol.solve_time_ms,
-                gap=sol.gap,
-                kept_dims=(problem.p, problem.q),
+    b_prev = None
+    for m, lam in enumerate(schedule.values):
+        lam = float(lam)
+        advance = screening and m > 0
+        reduced, screen_ms = None, 0.0
+        screened, kept = (0, 0), (problem.p, problem.q)
+        if advance:
+            t0 = time.perf_counter()
+            context = ScreenContext(
+                lambda0=float(schedule.values[m - 1]), lam=lam, theta_prev=theta_pipe,
+                problem=problem, gram=gram, U=bases.U_full, V=bases.V_full,
+                weights=weights,
             )
-        )
-    wall_ms = (time.perf_counter() - t_wall) * 1e3
-    return PathResult(mode="full", records=tuple(records), setup_ms=setup_ms, wall_ms=wall_ms)
-
-
-def screened_path(problem, weights, schedule, config=None, epsilon=None, gram=None,
-                  warm_start=False):
-    """Sequential screened path.
-
-    The first grid point is solved unreduced to anchor the records; the
-    screening pipeline is seeded with the minimum-norm interpolant (whose
-    residual is exactly zero, making theta = 0 the matching dual estimate)
-    and afterwards tracks the singular bases of each embedded solution. A
-    level at which screening keeps every row and column is solved on the
-    unreduced instance with the first level's precompute, warm-started from
-    the previous B, exactly as the full path solves it.
-    """
-    if not problem.full_row_rank:
-        raise ValueError("screening requires a numerically full row rank design")
-    config = config or AdmmConfig()
-    t_wall = time.perf_counter()
-
-    t0 = time.perf_counter()
-    gram = gram or GramFactor(problem)
-    b_ls = min_norm_least_squares(problem, gram)
-    bases = svd(b_ls, full=True)
-    U, V = bases.U_full, bases.V_full
-    setup_ms = (time.perf_counter() - t0) * 1e3
-
-    lam1 = float(schedule.values[0])
-    t0 = time.perf_counter()
-    base = make_instance(problem, weights, lam1)
-    cache = precompute(base)
-    sol1 = solve(base, config, cache=cache)
-    solve1_ms = (time.perf_counter() - t0) * 1e3
-    records = [
-        PathRecord(
-            lam=lam1,
-            solution=sol1,
-            theta=_kkt_theta(problem, sol1.B, lam1),
-            rank=svd(sol1.B, rtol=RANK_RTOL).rank,
-            iters=sol1.iters,
-            converged=sol1.converged,
-            solve_time_ms=solve1_ms,
-            gap=sol1.gap,
-            kept_dims=(problem.p, problem.q),
-        )
-    ]
-
-    theta_pipe = np.zeros(problem.n)
-    b_prev = sol1.B if warm_start else None
-    for m in range(1, schedule.k):
-        lam0 = float(schedule.values[m - 1])
-        lam = float(schedule.values[m])
+            outcome = screen(context, epsilon=epsilon)
+            screen_ms = (time.perf_counter() - t0) * 1e3
+            screened = (int(outcome.screened_rows.size), int(outcome.screened_cols.size))
+            kept = (int(outcome.kept_rows.size), int(outcome.kept_cols.size))
+            if any(screened):
+                reduced = outcome.reduced
 
         t0 = time.perf_counter()
-        context = ScreenContext(
-            lambda0=lam0, lam=lam, theta_prev=theta_pipe,
-            problem=problem, gram=gram, U=U, V=V, weights=weights,
-        )
-        outcome = screen(context, epsilon=epsilon)
-        screen_ms = (time.perf_counter() - t0) * 1e3
-
-        t0 = time.perf_counter()
-        if outcome.kept_rows.size == problem.p and outcome.kept_cols.size == problem.q:
-            # nothing screened: the unreduced instance and its precompute serve
+        if reduced is None:
+            # no reduction: the unreduced instance and the path's precompute
             sol = solve(base.at_lambda(lam), config, cache=cache, warm_start=b_prev)
         else:
             # the bases rotate between levels, so warm-start from B restricted
             # onto the kept bases; exact when nothing newly screened was active
-            reduced = outcome.reduced
             init = None if b_prev is None else reduced.left.T @ b_prev @ reduced.right
             sol = solve(reduced, config, cache=precompute(reduced), warm_start=init)
         solve_ms = (time.perf_counter() - t0) * 1e3
         if warm_start:
             b_prev = sol.B
 
-        theta_pipe = _kkt_theta(problem, sol.B, lam)
-        bases = svd(sol.B, full=True, rtol=RANK_RTOL)
-        U, V = bases.U_full, bases.V_full
+        # KKT dual estimate and rank; from level 2 on both feed the next screen
+        theta = (problem.stacked @ vec(sol.B) - problem.y) / (problem.n * lam)
+        sv = svd(sol.B, full=advance, rtol=RANK_RTOL)
+        if advance:
+            theta_pipe, bases = theta, sv
         records.append(
             PathRecord(
                 lam=lam,
                 solution=sol,
-                theta=theta_pipe,
-                rank=bases.rank,
+                theta=theta,
+                rank=sv.rank,
                 iters=sol.iters,
                 converged=sol.converged,
                 solve_time_ms=solve_ms,
                 gap=sol.gap,
                 screen_time_ms=screen_ms,
-                screened_rows=int(outcome.screened_rows.size),
-                screened_cols=int(outcome.screened_cols.size),
-                kept_dims=(int(outcome.kept_rows.size), int(outcome.kept_cols.size)),
+                screened_rows=screened[0],
+                screened_cols=screened[1],
+                kept_dims=kept,
             )
         )
-    wall_ms = (time.perf_counter() - t_wall) * 1e3
-    return PathResult(
-        mode="screened", records=tuple(records), setup_ms=setup_ms, wall_ms=wall_ms
-    )
+    return PathResult(mode=mode, records=tuple(records), setup_ms=setup_ms)
 
 
 SAFETY_OBJECTIVE_RTOL = 1e-4

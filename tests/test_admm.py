@@ -182,11 +182,11 @@ def test_reported_gap_matches_independent_dual():
 def test_solve_objective_eventually_decreases():
     problem, weights, lam = small_setup(30)
     inst = make_instance(problem, weights, lam)
-    sol = solve(inst, AdmmConfig(tol_primal=1e-10, tol_dual=1e-10,
-                                 track_objective=True))
-    trace = sol.objective_trace
-    assert len(trace) == sol.iters
-    assert trace[-1] <= trace[9] + 1e-10
+    sol = solve(inst, AdmmConfig(tol_primal=1e-10, tol_dual=1e-10))
+    # a solve capped at 10 iterations returns the 10th iterate of the one above
+    early = solve(inst, AdmmConfig(tol_primal=1e-10, tol_dual=1e-10, max_iter=10))
+    assert sol.iters > early.iters == 10
+    assert sol.objective <= early.objective + 1e-10
     assert abs(sol.objective - objective_value(inst, sol.final_state)) <= 1e-12 * (
         1.0 + abs(sol.objective)
     )

@@ -1,6 +1,7 @@
 """Command line behaviour end to end: files in, JSON out, exit codes."""
 
 import csv
+import dataclasses
 import io
 import json
 import subprocess
@@ -12,6 +13,7 @@ from tracereg.cli import (
     EXIT_INPUT,
     EXIT_NO_CONVERGENCE,
     EXIT_OK,
+    EXIT_SAFETY,
     main,
 )
 
@@ -194,13 +196,41 @@ def test_path_both_modes_fail_fast_without_full_row_rank(tmp_path, capsys, monke
     assert code == EXIT_OK
     manifest = out.strip()
     calls = []
-    monkeypatch.setattr("tracereg.cli.full_path", lambda *a, **k: calls.append(a))
+    for name in ("tracereg.cli.full_path", "tracereg.path.full_path"):
+        monkeypatch.setattr(name, lambda *a, **k: calls.append(a))
     code, out, err = run_cli(capsys, "path", "--manifest", manifest,
                              "--mode", "both", "--k", "5")
     assert code == EXIT_INPUT
     assert out == ""
     assert "full row rank" in err and "--mode full" in err
     assert calls == []
+
+
+def test_path_both_modes_safety_exit(tmp_path, capsys, monkeypatch):
+    # screened objectives off by 1e-3 relative break the 1e-4 safety rule;
+    # the command still writes its payload, then exits 3
+    import tracereg.path
+
+    screened_path = tracereg.path.screened_path
+
+    def off_screened_path(*args, **kwargs):
+        result = screened_path(*args, **kwargs)
+        records = tuple(
+            dataclasses.replace(r, solution=dataclasses.replace(
+                r.solution, objective=r.solution.objective * (1.0 + 1e-3)))
+            for r in result.records
+        )
+        return dataclasses.replace(result, records=records)
+
+    monkeypatch.setattr("tracereg.path.screened_path", off_screened_path)
+    manifest = generate(capsys, tmp_path)
+    out = tmp_path / "path.json"
+    code, _, _ = run_cli(capsys, "path", "--manifest", manifest, "--k", "3",
+                         "--out", str(out))
+    assert code == EXIT_SAFETY
+    payload = json.loads(out.read_text())
+    assert len(payload["records"]) == 3
+    assert payload["totals"]["objective_mismatch"] == pytest.approx(1e-3, rel=1e-9)
 
 
 def test_path_iteration_cap_exit(tmp_path, capsys):

@@ -169,6 +169,11 @@ def test_screened_objectives_match_full_path():
             assert abs(rs.solution.objective - rf.solution.objective) / scale <= 1e-6
             frob = np.linalg.norm(rs.solution.B - rf.solution.B)
             assert frob <= 1e-4 * (1.0 + np.linalg.norm(rf.solution.B))
+            # at the default threshold nothing is screened, so every level
+            # is solved exactly as the full path solves it
+            np.testing.assert_array_equal(rs.solution.B, rf.solution.B)
+            assert (rs.iters, rs.gap, rs.rank, rs.kept_dims) == (
+                rf.iters, rf.gap, rf.rank, rf.kept_dims)
 
 
 def test_screen_everything_path_returns_zeros():
