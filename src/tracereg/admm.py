@@ -10,10 +10,15 @@ a plain nuclear norm regression on the designs Z_i = R1^{-T} Xt_i R2^{-1}.
 FISTA (Beck & Teboulle 2009) with gradient restart (O'Donoghue & Candes
 2015) runs there: one gradient and one singular value soft threshold per
 iteration, no linear system; the threshold costs one eigendecomposition of
-a min(d1, d2)-square Gram matrix (prox_nuclear). Every CHECK_EVERY
-iterations the iterate is certified with the residual r = Z c - y, at the
-cost of the singular values of c and the top eigenvalue of a Gram of Z^T r,
-no singular vectors:
+a min(d1, d2)-square Gram matrix (prox_nuclear), partial when the previous
+iterate's rank is small (see prox.PARTIAL_EIGEN_SHARE). The iterate is held
+transposed so that vec is a view, and the loop updates preallocated buffers
+in place. Every CHECK_EVERY iterations the iterate is certified with the
+residual r = Z c - y, at the cost of one product Z^T r and the top
+eigenvalue of its Gram; ||c||_* comes from the spectrum the prox returned.
+A check that passes is repeated with ||c||_* from the singular values of c
+itself, so every accepted gap is computed from the returned iterate. The
+certificate is:
 
 - the duality gap P - D, with the dual D(theta) = ||y||^2/2n
   - (n lambda^2/2) ||theta + y/(n lambda)||^2 taken at theta = r/(n lambda)
@@ -28,6 +33,7 @@ bases, so solutions always come back in the original p x q coordinates.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
 
@@ -202,12 +208,13 @@ def objective_value(instance, theta_mat):
     return fit + instance.lam * nuclear_norm(instance.M1 @ theta_mat @ instance.M2)
 
 
-def _certificate(instance, cache, c, zc):
-    """(relative gap, relative dual infeasibility) at C = c with Z vec(c) = zc."""
+def _certificate(instance, cache, zc, nuclear):
+    """(relative gap, relative dual infeasibility) at an iterate c given
+    Z vec(c) = zc and ||c||_* = nuclear."""
     n, lam, y = instance.n, instance.lam, instance.y
     r = zc - y
     dual_norm = spectral_norm(unvec(cache.Z.T @ r, cache.d1, cache.d2)) / n
-    primal = 0.5 / n * float(r @ r) + lam * nuclear_norm(c)
+    primal = 0.5 / n * float(r @ r) + lam * nuclear
     shifted = (r / max(1.0, dual_norm / lam) + y) / (n * lam)
     y_sq = 0.5 / n * float(y @ y)
     dual = y_sq - 0.5 * n * lam * lam * float(shifted @ shifted)
@@ -227,45 +234,75 @@ def solve(instance, config=None, cache=None, warm_start=None):
     cache = cache or precompute(instance)
     t0 = time.perf_counter()
 
+    def certified(gap, infeasibility):
+        return gap <= config.tol_primal and infeasibility <= config.tol_dual
+
     n, d1, d2, lam, y = instance.n, instance.d1, instance.d2, instance.lam, instance.y
     z_mat = cache.Z
-    c = np.zeros((d1, d2)) if warm_start is None else cache.coordinates(warm_start)
-    zc = z_mat @ vec(c)
-    x, zx, t = c, zc, 1.0
+    # iterates are held transposed, d2 x d1 in C order: their ravel() is then
+    # vec of the d1 x d2 matrix, a view that lines up with the rows of Z
+    if warm_start is None:
+        c = np.zeros((d2, d1))
+    else:
+        c = np.ascontiguousarray(cache.coordinates(warm_start).T)
+    zc = z_mat @ c.ravel()
+    x, zx = c.copy(), zc.copy()
+    zc_new, resid = np.empty(n), np.empty(n)
+    grad = np.empty(d1 * d2)
+    point = np.empty((d2, d1))    # the prox input, then c_new - c
     step = 1.0 / cache.lipschitz if cache.lipschitz > 0 else 0.0
+    momentum = 1.0
+    spectrum = None
     converged = False
-    checked_at = None
     it = 0
 
     while d1 * d2 and it < config.max_iter:
         it += 1
-        grad = unvec(z_mat.T @ (zx - y), d1, d2) / n
-        c_new = prox_nuclear(x - step * grad, lam * step)
-        zc_new = z_mat @ vec(c_new)
-        if float(np.vdot(x - c_new, c_new - c)) > 0.0:
+        # step times the gradient Z^T (Z x - y) / n, scaled on the short side
+        np.subtract(zx, y, out=resid)
+        resid *= step / n
+        np.matmul(z_mat.T, resid, out=grad)
+        np.subtract(x, grad.reshape(d2, d1), out=point)
+        c_new, spectrum = prox_nuclear(
+            point, lam * step, spectrum=True,
+            rank_hint=None if spectrum is None else spectrum.size)
+        np.matmul(z_mat, c_new.ravel(), out=zc_new)
+        # x is rebuilt below in both branches, so it can hold x - c_new
+        np.subtract(x, c_new, out=x)
+        np.subtract(c_new, c, out=point)
+        if float(np.vdot(x, point)) > 0.0:
             # gradient restart: the step went against the momentum
-            x, zx, t = c_new, zc_new, 1.0
+            np.copyto(x, c_new)
+            np.copyto(zx, zc_new)
+            momentum = 1.0
         else:
-            t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-            beta = (t - 1.0) / t_new
-            x = c_new + beta * (c_new - c)
-            zx = zc_new + beta * (zc_new - zc)
-            t = t_new
-        c, zc = c_new, zc_new
+            momentum_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * momentum * momentum))
+            beta = (momentum - 1.0) / momentum_new
+            point *= beta
+            np.add(c_new, point, out=x)
+            np.subtract(zc_new, zc, out=zx)
+            zx *= beta
+            zx += zc_new
+            momentum = momentum_new
+        c = c_new
+        zc, zc_new = zc_new, zc
 
-        if it % CHECK_EVERY == 0:
-            gap, infeasibility = _certificate(instance, cache, c, zc)
-            checked_at = it
-            if gap <= config.tol_primal and infeasibility <= config.tol_dual:
+        # ||c||_* from the prox's own spectrum; a pass is confirmed with the
+        # singular values of c itself, so every accepted gap is exact
+        if it % CHECK_EVERY == 0 and certified(*_certificate(
+                instance, cache, zc,
+                nuclear_norm(c) if spectrum is None else float(spectrum.sum()))):
+            gap, infeasibility = _certificate(instance, cache, zc, nuclear_norm(c))
+            if certified(gap, infeasibility):
                 converged = True
                 break
 
-    if checked_at != it:
-        # the returned iterate was not checked in the loop (cap, or no iterate)
-        gap, infeasibility = _certificate(instance, cache, c, zc)
-        converged = gap <= config.tol_primal and infeasibility <= config.tol_dual
+    if not converged:
+        # the returned iterate (cap, or no iterate), certified exactly
+        gap, infeasibility = _certificate(instance, cache, zc, nuclear_norm(c))
+        converged = certified(gap, infeasibility)
 
-    theta_mat = cache.solve(c)
+    theta_mat = cache.solve(c.T)
     elapsed_ms = (time.perf_counter() - t0) * 1e3
     return Solution(
         B=instance.embed(theta_mat),

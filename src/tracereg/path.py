@@ -20,7 +20,7 @@ import numpy as np
 
 from .admm import AdmmConfig, Solution, make_instance, precompute, solve
 from .model import GramFactor, min_norm_least_squares, vec
-from .prox import svd
+from .prox import singular_values, svd
 from .screen import ScreenContext, screen
 
 
@@ -112,7 +112,8 @@ def _run_path(mode, problem, weights, schedule, config, warm_start, epsilon=None
     t0 = time.perf_counter()
     if screening:
         gram = gram or GramFactor(problem)
-        bases = svd(min_norm_least_squares(problem, gram), full=True)
+        b_ls = min_norm_least_squares(problem, gram)
+        bases = svd(b_ls, full=True)
         theta_pipe = np.zeros(problem.n)
     base = make_instance(problem, weights, schedule.values[0])
     cache = precompute(base)
@@ -130,7 +131,7 @@ def _run_path(mode, problem, weights, schedule, config, warm_start, epsilon=None
             context = ScreenContext(
                 lambda0=float(schedule.values[m - 1]), lam=lam, theta_prev=theta_pipe,
                 problem=problem, gram=gram, U=bases.U_full, V=bases.V_full,
-                weights=weights,
+                weights=weights, b_ls=b_ls,
             )
             outcome = screen(context, epsilon=epsilon)
             screen_ms = (time.perf_counter() - t0) * 1e3
@@ -152,17 +153,21 @@ def _run_path(mode, problem, weights, schedule, config, warm_start, epsilon=None
         if warm_start:
             b_prev = sol.B
 
-        # KKT dual estimate and rank; from level 2 on both feed the next screen
+        # KKT dual estimate and rank; from level 2 on the screened path both
+        # feed the next screen, which also needs the full singular bases
         theta = (problem.stacked @ vec(sol.B) - problem.y) / (problem.n * lam)
-        sv = svd(sol.B, full=advance, rtol=RANK_RTOL)
         if advance:
-            theta_pipe, bases = theta, sv
+            theta_pipe, bases = theta, svd(sol.B, full=True, rtol=RANK_RTOL)
+            rank = bases.rank
+        else:
+            s = singular_values(sol.B)
+            rank = int(np.sum(s > RANK_RTOL * s[0]))
         records.append(
             PathRecord(
                 lam=lam,
                 solution=sol,
                 theta=theta,
-                rank=sv.rank,
+                rank=rank,
                 iters=sol.iters,
                 converged=sol.converged,
                 solve_time_ms=solve_ms,

@@ -49,6 +49,13 @@ class ScreenContext:
     U: np.ndarray            # p x p left singular basis of B(lambda0)
     V: np.ndarray            # q x q right singular basis of B(lambda0)
     weights: object
+    b_ls: np.ndarray | None = None   # the minimum-norm pilot; None computes it
+
+    def pilot(self):
+        """The minimum-norm least-squares B_ls, as given or computed."""
+        if self.b_ls is not None:
+            return self.b_ls
+        return min_norm_least_squares(self.problem, self.gram)
 
     def __post_init__(self):
         if not 0.0 < self.lambda0 < self.lam:
@@ -142,8 +149,7 @@ def gamma_for(context, scalars, j, k):
 
 def p_values(context, scalars, j, k):
     """(P1, P2) for one coefficient; W[j, k] = max(P1, P2)."""
-    b_ls = min_norm_least_squares(context.problem, context.gram)
-    base = float(context.U[:, j] @ b_ls @ context.V[:, k])
+    base = float(context.U[:, j] @ context.pilot() @ context.V[:, k])
     gamma = gamma_for(context, scalars, j, k)
     return base + f_opt(gamma, scalars), -base + f_opt(-gamma, scalars)
 
@@ -174,8 +180,7 @@ def screen(context, epsilon=None):
     rot_stack = x_rot.transpose(0, 2, 1).reshape(n, p * q)
     gammas = n * context.lam * context.gram.solve(rot_stack)
 
-    b_ls = min_norm_least_squares(problem, context.gram)
-    base = (context.U.T @ b_ls @ context.V).reshape(-1, order="F")
+    base = (context.U.T @ context.pilot() @ context.V).reshape(-1, order="F")
 
     p1 = base + _f_opt_batch(gammas, scalars)
     p2 = -base + _f_opt_batch(-gammas, scalars)

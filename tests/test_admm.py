@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import tracereg.admm
 from tracereg import (
     AdmmConfig,
     GeneralizedInstance,
@@ -14,6 +15,7 @@ from tracereg import (
     nuclear_norm,
     objective_value,
     precompute,
+    prox_nuclear,
     solve,
     subdifferential_residual,
     unvec,
@@ -177,6 +179,27 @@ def test_reported_gap_matches_independent_dual():
         assert own >= -1e-12
         assert abs(sol.gap - own) <= 1e-9 + 1e-6 * own
     assert sol.converged and sol.gap <= 1e-6
+
+
+def test_certificate_confirms_the_prox_spectrum(monkeypatch):
+    # a prox whose spectrum claims ||c||_* = 0 under-reports the gap at every
+    # check; the exact recheck on the iterate must still decide convergence
+    def zero_spectrum(m, t, rank_hint=None, spectrum=False):
+        out, s = prox_nuclear(m, t, rank_hint=rank_hint, spectrum=True)
+        return out, None if s is None else np.zeros_like(s)
+
+    tol = AdmmConfig().tol_primal
+    for seed in range(50, 55):
+        problem, weights, lam = small_setup(seed)
+        inst = make_instance(problem, weights, lam)
+        honest = solve(inst)
+        with monkeypatch.context() as patch:
+            patch.setattr(tracereg.admm, "prox_nuclear", zero_spectrum)
+            sol = solve(inst)
+        own = independent_gap(problem, weights, sol.B, lam)
+        assert sol.converged and sol.iters == honest.iters
+        assert own <= tol
+        assert abs(sol.gap - own) <= 1e-9 + 1e-6 * own
 
 
 def test_solve_objective_eventually_decreases():

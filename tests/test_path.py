@@ -15,7 +15,7 @@ from tracereg import (
     screened_path,
     solve,
 )
-from tracereg.harness import GaussianSpec, gen_gaussian, prepare
+from tracereg.harness import GaussianSpec, ShapeSpec, gen_gaussian, gen_shape, prepare
 
 TIGHT = AdmmConfig(tol_primal=1e-8, tol_dual=1e-8, max_iter=100000)
 
@@ -234,6 +234,15 @@ def test_compare_reports_and_safety():
     assert res.safety_ok
     assert res.converged
     assert np.all(res.obj_mismatch <= 1e-6)
+
+
+def test_compare_warm_cross_shape_is_converged_and_safe():
+    # the flag acceptance 6 leaves unchecked, on a small shape of its kind
+    problem, _ = gen_shape(ShapeSpec("cross", size=16, n=10, seed=0))
+    weights, sched, _ = prepare(problem, k=6)
+    res = compare(problem, weights, sched, warm_start=True)
+    assert res.converged and res.safety_ok
+    assert all(r.gap <= 1e-6 for r in res.full.records + res.screened.records)
 
 
 def test_compare_is_deterministic_across_calls():

@@ -178,9 +178,12 @@ def test_fenchel_young_inequality():
 # ------------------------------------------- references from np.linalg.svd
 
 
-def svd_prox(m, t):
+def svd_prox(m, t, rank_hint=None, spectrum=False):
+    # the rank hint only picks an eigensolver in prox_nuclear; an SVD needs none
     U, s, Vt = np.linalg.svd(m, full_matrices=False)
-    return (U * np.maximum(s - t, 0.0)) @ Vt
+    s = np.maximum(s - t, 0.0)
+    out = (U * s) @ Vt
+    return (out, s[s > 0]) if spectrum else out
 
 
 def svd_nuclear_norm(m):
@@ -247,6 +250,62 @@ def test_prox_nuclear_clustered_singular_values_straddling_t(p, q):
         assert abs(spectral_norm(m) - 2.0 * (1 + 1e-12)) <= 1e-13 * 2.0
 
 
+def straddling_t_cases():
+    # wide, tall, square, rank-deficient, and singular values clustered a
+    # relative 1e-12 to 1e-3 around t
+    rng = np.random.default_rng(14)
+    t = 0.5
+    clustered = [2.0, 2.0 * (1 + 1e-12), t * (1 + 1e-3), t * (1 + 1e-9), t, t * (1 - 1e-9),
+                 t * (1 - 1e-3), 0.1, 0.1 * (1 + 1e-13)]
+    cases = [(rng.standard_normal(shape), t) for shape in ((12, 40), (40, 12), (32, 32))]
+    cases += [(with_singular_values(rng, 20, 30, [3.0, 1.0, 0.2]), t),
+              (with_singular_values(rng, 30, 20, [3.0, 1.0, 0.2]), t)]
+    cases += [(with_singular_values(rng, p, q, clustered), t)
+              for p, q in ((10, 20), (20, 10), (25, 25))]
+    # a threshold that keeps one singular value of a random matrix
+    m = rng.standard_normal((32, 32))
+    s = np.linalg.svd(m, compute_uv=False)
+    return cases + [(m, 0.5 * (s[0] + s[1]))]
+
+
+@pytest.mark.parametrize("case", range(len(straddling_t_cases())))
+def test_prox_nuclear_rank_hint_and_spectrum(case, monkeypatch):
+    # every hint gives the reference output, whichever eigensolver it picks,
+    # and the returned spectrum is the output's nonzero singular values
+    m, t = straddling_t_cases()[case]
+    partial = []
+    syevx = prox_module._syevx
+    monkeypatch.setattr(prox_module, "_syevx",
+                        lambda *a, **k: partial.append(1) or syevx(*a, **k))
+    s = np.linalg.svd(m, compute_uv=False)
+    kept = int(np.sum(s > t))
+    ref = svd_prox(m, t)
+    for hint in (None, 0, kept, max(kept - 2, 0), kept + 3, min(m.shape)):
+        out, spec = prox_nuclear(m, t, rank_hint=hint, spectrum=True)
+        assert np.linalg.norm(out - ref, 2) <= 1e-12 * s[0]
+        assert np.array_equal(out, prox_nuclear(m, t, rank_hint=hint))
+        s_out = np.linalg.svd(out, compute_uv=False)
+        assert abs(spec.size - kept) <= 1
+        np.testing.assert_allclose(np.sort(spec)[::-1], s_out[:spec.size],
+                                   rtol=0, atol=1e-12 * s[0])
+        assert np.all(s_out[spec.size:] <= 1e-12 * s[0])
+    # hint 0 takes the partial eigensolver on every case here
+    assert partial
+
+
+def test_prox_nuclear_spectrum_edge_cases():
+    m = np.diag([3.0, 1.0, 0.5])
+    out, spec = prox_nuclear(m, 2.0, spectrum=True)
+    np.testing.assert_allclose(out, np.diag([1.0, 0.0, 0.0]), atol=1e-15)
+    np.testing.assert_allclose(spec, [1.0], rtol=1e-15)
+    for hint in (None, 0):
+        out, spec = prox_nuclear(m, 5.0, rank_hint=hint, spectrum=True)
+        assert not np.any(out) and spec.size == 0
+    assert prox_nuclear(m, 0.0, spectrum=True)[1] is None
+    out, spec = prox_nuclear(np.zeros((0, 3)), 1.0, spectrum=True)
+    assert out.shape == (0, 3) and spec.size == 0
+
+
 @pytest.mark.parametrize("p,q", [(15, 45), (45, 15)])
 def test_prox_nuclear_falls_back_to_svd_below_gram_resolution(p, q, monkeypatch):
     # t far below sqrt(max(p, q) eps) sigma_max: the Gram cannot tell the
@@ -260,8 +319,8 @@ def test_prox_nuclear_falls_back_to_svd_below_gram_resolution(p, q, monkeypatch)
     m = with_singular_values(rng, p, q, [1.0, 1e-3, 1e-6, 3e-10, 1.5e-10, 5e-11, 1e-12])
     cut = prox_module.GRAM_RESOLUTION * np.sqrt(max(p, q) * prox_module.EPS)
     assert t < cut
-    out = prox_nuclear(m, t)
-    assert calls == [t]
+    out, spec = prox_nuclear(m, t, spectrum=True)
+    assert calls == [t] and spec is None
     assert np.linalg.norm(out - svd_prox(m, t), 2) <= 1e-14
     # the kept singular values just above t come out at (sigma - t)
     s = np.linalg.svd(out, compute_uv=False)

@@ -1,5 +1,8 @@
 """Screening rule: region geometry, the coefficient bounds, reduction."""
 
+import dataclasses
+import importlib
+
 import numpy as np
 import pytest
 
@@ -23,6 +26,9 @@ from tracereg.harness import GaussianSpec, gen_gaussian, prepare
 from tracereg.screen import DEFAULT_EPSILON_REL, _f_opt_batch, gamma_for, p_values
 
 TIGHT = AdmmConfig(tol_primal=1e-8, tol_dual=1e-8, max_iter=100000)
+
+# the package exports the function screen under the module's name
+screen_module = importlib.import_module("tracereg.screen")
 
 
 def pipeline_context(seed, p=4, q=6, n=12, r0=0.35, r1=0.6):
@@ -374,6 +380,21 @@ def test_screen_batch_matches_per_pair_bounds():
         for k in range(problem.q):
             expected = max(p_values(context, s, j, k))
             assert abs(outcome.W[j, k] - expected) <= 1e-12 * scale
+
+
+def test_screen_uses_the_given_pilot(monkeypatch):
+    # a context carrying B_ls gives the same bounds without recomputing it
+    context, problem, _ = pipeline_context(1, p=3, q=4, n=8)
+    outcome = screen(context)
+    given = dataclasses.replace(
+        context, b_ls=min_norm_least_squares(problem, context.gram))
+    calls = []
+    monkeypatch.setattr(screen_module, "min_norm_least_squares",
+                        lambda *a: calls.append(1) or min_norm_least_squares(*a))
+    assert np.array_equal(screen(given).W, outcome.W)
+    assert calls == []
+    screen(context)
+    assert calls == [1]
 
 
 def test_screen_bound_matrix_nonnegative():
