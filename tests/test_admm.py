@@ -279,3 +279,88 @@ def test_cross32_n10_certified_zero_and_path():
     result = full_path(problem, weights, schedule)
     assert all(r.converged for r in result.records)
     assert all(r.gap <= 1e-6 for r in result.records)
+
+
+def test_accepted_steps_satisfy_the_quadratic_bound(monkeypatch):
+    # every trial L is at most the global Lipschitz constant, each iteration
+    # starts from LIPSCHITZ_SHRINK times the last accepted L, a rejected trial
+    # is retried at min(LIPSCHITZ_GROW L, lipschitz), and the step accepted at
+    # L satisfies the quadratic upper bound ||Z (c - x)||^2/n <= L ||c - x||^2
+    # of the loss around its extrapolation point x
+    gauss, _ = gen_gaussian(GaussianSpec(p=5, q=6, n=8, seed=60))
+    cross, _ = gen_shape(ShapeSpec("cross", size=16, n=10, seed=0))
+    config = AdmmConfig(tol_primal=1e-10, tol_dual=1e-10)
+    shrink, grow = tracereg.admm.LIPSCHITZ_SHRINK, tracereg.admm.LIPSCHITZ_GROW
+    for problem, k in ((gauss, 2), (cross, 6)):
+        weights, schedule, _ = prepare(problem, k=k)
+        inst = make_instance(problem, weights, 0.3 * schedule.lambda_max)
+        cache = precompute(inst)
+        # each trial: the prox input and output as vectors in the solver's
+        # layout (rows of Z) and L = lambda/t read off the threshold t
+        trials = []
+
+        def spy(m, t, rank_hint=None, spectrum=False):
+            out, s = prox_nuclear(m, t, rank_hint=rank_hint, spectrum=True)
+            trials.append((m.ravel().copy(), inst.lam / t, out.ravel().copy()))
+            return (out, s) if spectrum else out
+
+        with monkeypatch.context() as patch:
+            patch.setattr(tracereg.admm, "prox_nuclear", spy)
+            sol = solve(inst, config, cache=cache)
+        assert sol.converged and sol.backtracks > 0
+        assert len(trials) == sol.iters + sol.backtracks
+
+        z, n, y, top = cache.Z, inst.n, inst.y, cache.lipschitz
+        lams = [lip for _, lip, _ in trials]
+        assert lams[0] == pytest.approx(shrink * top, rel=1e-14)
+        assert max(lams) <= top * (1 + 1e-14)
+        rejected = [b > a for a, b in zip(lams, lams[1:])] + [False]
+        assert sum(rejected) == sol.backtracks
+        for a, b, back in zip(lams, lams[1:], rejected):
+            assert b == pytest.approx(min(grow * a, top) if back else shrink * a, rel=1e-13)
+
+        gram = z @ z.T / n
+        for (m, lip, c), back in zip(trials, rejected):
+            if lip >= top * (1 - 1e-14):
+                continue    # the global constant: the bound holds for every step
+            # m = x - Z^T (Z x - y)/(n L): solve for u = Z x, then x
+            u = np.linalg.solve(np.eye(n) - gram / lip, z @ m - gram @ y / lip)
+            x = m + z.T @ (u - y) / (n * lip)
+            d = c - x
+            curvature = float((z @ d) @ (z @ d)) / n / (lip * float(d @ d))
+            if back:
+                assert curvature > 1 - 1e-9
+            else:
+                assert curvature <= 1 + 1e-9
+
+
+def test_rejected_first_trials_still_converge():
+    # with the unit matrices as designs and identity maps the loss has
+    # curvature L = 1/n in every direction, so each iteration's shrunken first
+    # trial is rejected; one step at L lands on the solution, the soft
+    # threshold of Y at n lambda
+    p, q = 4, 6
+    n = p * q
+    xt = np.array([unvec(e, p, q) for e in np.eye(n)])
+    rng = np.random.default_rng(61)
+    y_mat = rng.standard_normal((p, q))
+    inst = GeneralizedInstance(
+        Xt=xt, stacked=np.eye(n), y=vec(y_mat), M1=np.eye(p), M2=np.eye(q), lam=0.05,
+    )
+    sol = solve(inst)
+    assert sol.converged and sol.gap <= AdmmConfig().tol_primal
+    assert sol.backtracks == sol.iters == tracereg.admm.CHECK_EVERY
+    u, s, vt = np.linalg.svd(y_mat, full_matrices=False)
+    expected = (u * np.maximum(s - n * inst.lam, 0.0)) @ vt
+    assert np.linalg.norm(sol.B - expected) <= 1e-12 * np.linalg.norm(expected)
+    assert np.linalg.matrix_rank(expected) < min(p, q)
+
+
+def test_adaptive_step_takes_fewer_proxes_on_the_gaussian_path():
+    # the fixed 1/L step took 7 785 prox evaluations on this warm path
+    problem, _ = gen_gaussian(GaussianSpec(p=15, q=45, n=30, rank=2, seed=0))
+    weights, schedule, _ = prepare(problem, k=20)
+    result = full_path(problem, weights, schedule, warm_start=True)
+    assert all(r.converged for r in result.records)
+    proxes = sum(r.solution.iters + r.solution.backtracks for r in result.records)
+    assert proxes < 7785
