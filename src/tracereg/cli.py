@@ -25,14 +25,33 @@ from .harness import (
     report,
     save_problem,
 )
-from .model import compute_weights, lambda_max, min_norm_least_squares
-from .path import LambdaSchedule, compare, full_path, screened_path
-from .prox import svd
+from .path import LambdaSchedule, compare, full_path, numerical_rank, screened_path
 
 EXIT_OK = 0
 EXIT_NO_CONVERGENCE = 2
 EXIT_SAFETY = 3
 EXIT_INPUT = 4
+
+
+def _add_problem_flags(sub):
+    """Generator arguments, shared by generate and bench."""
+    sub.add_argument("--kind", choices=("gaussian", "shape"), default="gaussian")
+    sub.add_argument("--p", type=int, default=15)
+    sub.add_argument("--q", type=int, default=45)
+    sub.add_argument("--n", type=int, default=30)
+    sub.add_argument("--rank", type=int, default=2)
+    sub.add_argument("--shape", default="cross")
+    sub.add_argument("--size", type=int, default=64)
+    sub.add_argument("--noise-std", type=float, default=0.1)
+    sub.add_argument("--seed", type=int, default=0)
+
+
+def _problem_spec(args):
+    if args.kind == "shape":
+        return ShapeSpec(name=args.shape, n=args.n, size=args.size,
+                         noise_std=args.noise_std, seed=args.seed)
+    return GaussianSpec(p=args.p, q=args.q, n=args.n, rank=args.rank,
+                        noise_std=args.noise_std, seed=args.seed)
 
 
 def _add_solver_flags(sub):
@@ -60,35 +79,9 @@ def _emit(payload, out):
         sys.stdout.write(text)
 
 
-def _record_dict(rec):
-    return {
-        "lambda": rec.lam,
-        "objective": rec.solution.objective,
-        "rank": rec.rank,
-        "iters": rec.iters,
-        "converged": rec.converged,
-        "gap": rec.gap,
-        "time_ms": rec.solve_time_ms,
-        "screen_time_ms": rec.screen_time_ms,
-        "screened_rows": rec.screened_rows,
-        "screened_cols": rec.screened_cols,
-        "kept_dims": list(rec.kept_dims),
-    }
-
-
 def cmd_generate(args):
-    if args.kind == "gaussian":
-        spec = GaussianSpec(
-            p=args.p, q=args.q, n=args.n,
-            rank=args.rank, noise_std=args.noise_std, seed=args.seed,
-        )
-        problem, b_true = gen_gaussian(spec)
-    else:
-        spec = ShapeSpec(
-            name=args.shape, n=args.n, size=args.size,
-            noise_std=args.noise_std, seed=args.seed,
-        )
-        problem, b_true = gen_shape(spec)
+    spec = _problem_spec(args)
+    problem, b_true = (gen_shape if args.kind == "shape" else gen_gaussian)(spec)
     manifest = save_problem(problem, args.out)
     np.savetxt(f"{args.out}/b_true.csv", b_true, fmt="%.17g", delimiter=",")
     meta = dataclasses.asdict(spec)
@@ -101,25 +94,16 @@ def cmd_generate(args):
     return EXIT_OK
 
 
-def _resolve_lambda(args, problem, weights):
-    lmax = lambda_max(problem, weights)
-    if args.lam is not None:
-        return args.lam
-    return args.lambda_ratio * lmax
-
-
 def cmd_solve(args):
     problem = load_problem(args.manifest)
-    weights = compute_weights(
-        min_norm_least_squares(problem), args.gamma, problem.n
-    )
-    lam = _resolve_lambda(args, problem, weights)
+    weights, schedule, _ = prepare(problem, gamma=args.gamma)
+    lam = args.lam if args.lam is not None else args.lambda_ratio * schedule.lambda_max
     instance = make_instance(problem, weights, lam)
     solution = solve(instance, _config(args), precompute(instance))
     payload = {
         "lambda": lam,
         "objective": solution.objective,
-        "rank": int(svd(solution.B).rank),
+        "rank": numerical_rank(solution.B),
         "iters": solution.iters,
         "converged": solution.converged,
         "gap": solution.gap,
@@ -138,7 +122,7 @@ def cmd_path(args):
         # fail before the full path runs, not after it
         raise ValueError("screening requires a numerically full row rank design; "
                          "use path --mode full")
-    weights, schedule, _ = prepare(problem, gamma=args.gamma, k=args.k, ratio=args.ratio)
+    weights, schedule, gram = prepare(problem, gamma=args.gamma, k=args.k, ratio=args.ratio)
     if args.lambda_max_ratio != 1.0:
         schedule = LambdaSchedule(
             lambda_max=schedule.lambda_max * args.lambda_max_ratio,
@@ -163,13 +147,13 @@ def cmd_path(args):
         totals["T_f_ms"] = results["full"].total_ms
     else:
         results["screened"] = screened_path(problem, weights, schedule, config,
-                                            epsilon=args.epsilon,
+                                            epsilon=args.epsilon, gram=gram,
                                             warm_start=args.warm_start)
         totals["T_s_ms"] = results["screened"].total_ms
 
     primary = results.get("screened") or results["full"]
     payload = {"mode": args.mode,
-               "records": [_record_dict(r) for r in primary.records],
+               "records": [r.to_dict() for r in primary.records],
                "totals": totals}
     _emit(payload, args.out)
 
@@ -182,20 +166,12 @@ def cmd_path(args):
 
 def cmd_screen_stats(args):
     problem = load_problem(args.manifest)
-    weights, schedule, _ = prepare(problem, gamma=args.gamma, k=args.k, ratio=args.ratio)
+    weights, schedule, gram = prepare(problem, gamma=args.gamma, k=args.k, ratio=args.ratio)
     result = screened_path(problem, weights, schedule, _config(args),
-                           epsilon=args.epsilon)
-    payload = {
-        "lambdas": [
-            {
-                "lambda": r.lam,
-                "screened_rows": r.screened_rows,
-                "screened_cols": r.screened_cols,
-                "kept_dims": list(r.kept_dims),
-            }
-            for r in result.records
-        ]
-    }
+                           epsilon=args.epsilon, gram=gram)
+    keys = ("lambda", "screened_rows", "screened_cols", "kept_dims")
+    levels = [r.to_dict() for r in result.records]
+    payload = {"lambdas": [{key: d[key] for key in keys} for d in levels]}
     _emit(payload, args.out)
     return EXIT_OK if all(r.converged for r in result.records) else EXIT_NO_CONVERGENCE
 
@@ -210,11 +186,7 @@ def _bench_specs(args):
             entry.setdefault("seed", args.seed)
             specs.append(ShapeSpec(**entry) if kind == "shape" else GaussianSpec(**entry))
         return specs
-    if args.kind == "shape":
-        return [ShapeSpec(name=args.shape, n=args.n, size=args.size,
-                          noise_std=args.noise_std, seed=args.seed)]
-    return [GaussianSpec(p=args.p, q=args.q, n=args.n, rank=args.rank,
-                         noise_std=args.noise_std, seed=args.seed)]
+    return [_problem_spec(args)]
 
 
 def cmd_bench(args):
@@ -250,15 +222,7 @@ def build_parser():
     subs = parser.add_subparsers(dest="command", required=True)
 
     gen = subs.add_parser("generate", help="write a synthetic problem to disk")
-    gen.add_argument("--kind", choices=("gaussian", "shape"), default="gaussian")
-    gen.add_argument("--p", type=int, default=15)
-    gen.add_argument("--q", type=int, default=45)
-    gen.add_argument("--n", type=int, default=30)
-    gen.add_argument("--rank", type=int, default=2)
-    gen.add_argument("--shape", default="cross")
-    gen.add_argument("--size", type=int, default=64)
-    gen.add_argument("--noise-std", type=float, default=0.1)
-    gen.add_argument("--seed", type=int, default=0)
+    _add_problem_flags(gen)
     gen.add_argument("--out", required=True, help="output directory")
     gen.set_defaults(func=cmd_generate)
 
@@ -288,15 +252,7 @@ def build_parser():
     ben = subs.add_parser("bench", help="timing comparison, full vs screened")
     ben.add_argument("--spec-file", default=None,
                      help="JSON list of generator specs")
-    ben.add_argument("--kind", choices=("gaussian", "shape"), default="gaussian")
-    ben.add_argument("--p", type=int, default=15)
-    ben.add_argument("--q", type=int, default=45)
-    ben.add_argument("--n", type=int, default=30)
-    ben.add_argument("--rank", type=int, default=2)
-    ben.add_argument("--shape", default="cross")
-    ben.add_argument("--size", type=int, default=64)
-    ben.add_argument("--noise-std", type=float, default=0.1)
-    ben.add_argument("--seed", type=int, default=0)
+    _add_problem_flags(ben)
     ben.add_argument("--reps", type=int, default=10)
     ben.add_argument("--k", type=int, default=None)
     ben.add_argument("--ratio", type=float, default=0.616)

@@ -6,7 +6,7 @@ import csv
 import io
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -311,7 +311,7 @@ def bench(specs, k=None, ratio=0.616, reps=10, config=None, gamma=1.0, epsilon=N
         safety_ok = converged = True
         last = None
         for rep in range(reps):
-            seeded = _reseed(spec, spec.seed + rep)
+            seeded = replace(spec, seed=spec.seed + rep)
             problem, _ = gen_shape(seeded) if is_shape else gen_gaussian(seeded)
             weights, schedule, _ = prepare(problem, gamma=gamma, k=k_spec, ratio=ratio)
             result = compare(problem, weights, schedule, config, reps=1,
@@ -322,16 +322,9 @@ def bench(specs, k=None, ratio=0.616, reps=10, config=None, gamma=1.0, epsilon=N
             safety_ok = safety_ok and result.safety_ok
             converged = converged and result.converged
             last = result
-        per_lambda = tuple(
-            {
-                "lambda": r.lam,
-                "screened_rows": r.screened_rows,
-                "screened_cols": r.screened_cols,
-                "kept_dims": list(r.kept_dims),
-                "iters": r.iters,
-            }
-            for r in last.screened.records
-        )
+        keys = ("lambda", "screened_rows", "screened_cols", "kept_dims", "iters")
+        levels = [r.to_dict() for r in last.screened.records]
+        per_lambda = tuple({key: d[key] for key in keys} for d in levels)
         label = spec.name if is_shape else f"({spec.p}, {spec.q})"
         records.append(
             BenchRecord(
@@ -347,12 +340,6 @@ def bench(specs, k=None, ratio=0.616, reps=10, config=None, gamma=1.0, epsilon=N
             )
         )
     return records
-
-
-def _reseed(spec, seed):
-    kwargs = {f: getattr(spec, f) for f in spec.__dataclass_fields__}
-    kwargs["seed"] = seed
-    return type(spec)(**kwargs)
 
 
 def report(records, fmt="markdown"):

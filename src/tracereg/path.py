@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .admm import AdmmConfig, Solution, make_instance, precompute, solve
-from .model import GramFactor, min_norm_least_squares, vec
+from .model import GramFactor, min_norm_least_squares
 from .prox import singular_values, svd
 from .screen import ScreenContext, screen
 
@@ -50,20 +50,56 @@ class LambdaSchedule:
 RANK_RTOL = 1e-6
 
 
+def numerical_rank(b):
+    """Rank of B: its singular values above RANK_RTOL times the largest."""
+    s = singular_values(b)
+    return int(np.sum(s > RANK_RTOL * s[0]))
+
+
 @dataclass(frozen=True)
 class PathRecord:
+    """One level of a path; the solver's figures are read from its Solution."""
+
     lam: float
     solution: Solution
-    theta: np.ndarray        # KKT dual estimate (X vec(B) - y) / (n lam)
     rank: int
-    iters: int
-    converged: bool
     solve_time_ms: float
-    gap: float               # the solution's certified duality gap
     screen_time_ms: float = 0.0
     screened_rows: int = 0
     screened_cols: int = 0
     kept_dims: tuple = None
+
+    @property
+    def theta(self):
+        """KKT dual estimate (X vec(B) - y) / (n lam)."""
+        return self.solution.theta / self.lam
+
+    @property
+    def iters(self):
+        return self.solution.iters
+
+    @property
+    def converged(self):
+        return self.solution.converged
+
+    @property
+    def gap(self):
+        return self.solution.gap
+
+    def to_dict(self):
+        return {
+            "lambda": self.lam,
+            "objective": self.solution.objective,
+            "rank": self.rank,
+            "iters": self.iters,
+            "converged": self.converged,
+            "gap": self.gap,
+            "time_ms": self.solve_time_ms,
+            "screen_time_ms": self.screen_time_ms,
+            "screened_rows": self.screened_rows,
+            "screened_cols": self.screened_cols,
+            "kept_dims": list(self.kept_dims),
+        }
 
 
 @dataclass(frozen=True)
@@ -114,7 +150,6 @@ def _run_path(mode, problem, weights, schedule, config, warm_start, epsilon=None
         gram = gram or GramFactor(problem)
         b_ls = min_norm_least_squares(problem, gram)
         bases = svd(b_ls, full=True)
-        theta_pipe = np.zeros(problem.n)
     base = make_instance(problem, weights, schedule.values[0])
     cache = precompute(base)
     setup_ms = (time.perf_counter() - t0) * 1e3
@@ -129,7 +164,8 @@ def _run_path(mode, problem, weights, schedule, config, warm_start, epsilon=None
         if advance:
             t0 = time.perf_counter()
             context = ScreenContext(
-                lambda0=float(schedule.values[m - 1]), lam=lam, theta_prev=theta_pipe,
+                lambda0=float(schedule.values[m - 1]), lam=lam,
+                theta_prev=records[-1].theta if m > 1 else np.zeros(problem.n),
                 problem=problem, gram=gram, U=bases.U_full, V=bases.V_full,
                 weights=weights, b_ls=b_ls,
             )
@@ -153,25 +189,16 @@ def _run_path(mode, problem, weights, schedule, config, warm_start, epsilon=None
         if warm_start:
             b_prev = sol.B
 
-        # KKT dual estimate and rank; from level 2 on the screened path both
-        # feed the next screen, which also needs the full singular bases
-        theta = (problem.stacked @ vec(sol.B) - problem.y) / (problem.n * lam)
+        # from level 2 on the screened path the full singular bases of B
+        # feed the next screen, along with the record's dual estimate
         if advance:
-            theta_pipe, bases = theta, svd(sol.B, full=True, rtol=RANK_RTOL)
-            rank = bases.rank
-        else:
-            s = singular_values(sol.B)
-            rank = int(np.sum(s > RANK_RTOL * s[0]))
+            bases = svd(sol.B, full=True, rtol=RANK_RTOL)
         records.append(
             PathRecord(
                 lam=lam,
                 solution=sol,
-                theta=theta,
-                rank=rank,
-                iters=sol.iters,
-                converged=sol.converged,
+                rank=bases.rank if advance else numerical_rank(sol.B),
                 solve_time_ms=solve_ms,
-                gap=sol.gap,
                 screen_time_ms=screen_ms,
                 screened_rows=screened[0],
                 screened_cols=screened[1],

@@ -17,7 +17,10 @@ coefficient of the next solution is bounded by
 with gamma = n lambda (X X^T)^{-1} X vec(u_j v_k^T) and f_opt an upper
 bound on the maximum of <gamma, .> over Omega (exact away from
 degenerate plane-ball geometry). Rows and columns whose W entries all
-vanish can be dropped from the problem without changing the solution.
+vanish are dropped from the problem. That leaves the solution unchanged
+only when W bounds it, which needs vec(B) in the row space of the design
+(true for every B when n = pq); for n < pq converged paths exceed W (see
+the path oracle test in tests/test_screen.py).
 """
 
 from __future__ import annotations

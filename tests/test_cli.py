@@ -7,8 +7,11 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+import tracereg.cli
+import tracereg.model
 from tracereg.cli import (
     EXIT_INPUT,
     EXIT_NO_CONVERGENCE,
@@ -323,3 +326,35 @@ def test_module_entry_point():
     assert proc.returncode == 0
     for sub in ("generate", "solve", "path", "bench", "screen-stats", "report"):
         assert sub in proc.stdout
+
+
+def test_solve_counts_rank_by_the_path_rule(tmp_path, capsys, monkeypatch):
+    # singular values (1, 1e-9): rank 1 at RANK_RTOL = 1e-6, as path records
+    # count it, not 2 as at the max(p, q) * eps numerical-rank tolerance
+    manifest = generate(capsys, tmp_path)
+    b = np.zeros((4, 5))
+    b[0, 0], b[1, 1] = 1.0, 1e-9
+    real_solve = tracereg.cli.solve
+    monkeypatch.setattr(tracereg.cli, "solve", lambda *args, **kwargs:
+                        dataclasses.replace(real_solve(*args, **kwargs), B=b))
+    code, out, _ = run_cli(capsys, "solve", "--manifest", manifest)
+    assert code == EXIT_OK
+    assert json.loads(out)["rank"] == 1
+
+
+@pytest.mark.parametrize("argv", [["path", "--mode", "screened"], ["screen-stats"]],
+                         ids=["path-screened", "screen-stats"])
+def test_screened_commands_factor_the_gram_once(tmp_path, capsys, monkeypatch, argv):
+    # the screened path takes prepare's Gram factor instead of building its own
+    manifest = generate(capsys, tmp_path)
+    real_init = tracereg.model.GramFactor.__init__
+    calls = []
+
+    def counting_init(self, problem):
+        calls.append(problem)
+        real_init(self, problem)
+
+    monkeypatch.setattr(tracereg.model.GramFactor, "__init__", counting_init)
+    code, _, _ = run_cli(capsys, *argv, "--manifest", manifest, "--k", "3")
+    assert code == EXIT_OK
+    assert len(calls) == 1

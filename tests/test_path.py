@@ -16,6 +16,7 @@ from tracereg import (
     solve,
 )
 from tracereg.harness import GaussianSpec, ShapeSpec, gen_gaussian, gen_shape, prepare
+from tracereg.path import numerical_rank
 
 TIGHT = AdmmConfig(tol_primal=1e-8, tol_dual=1e-8, max_iter=100000)
 
@@ -81,6 +82,21 @@ def test_full_path_records():
     assert result.total_ms == pytest.approx(
         result.setup_ms + sum(r.solve_time_ms for r in result.records)
     )
+
+
+def test_records_read_their_solution():
+    problem, weights, sched, gram = small_case(seed=1)
+    for result in (full_path(problem, weights, sched),
+                   screened_path(problem, weights, sched, gram=gram)):
+        for rec in result.records:
+            sol = rec.solution
+            assert (rec.iters, rec.converged, rec.gap) == (sol.iters, sol.converged, sol.gap)
+            np.testing.assert_array_equal(rec.theta, sol.theta / rec.lam)
+            assert rec.rank == numerical_rank(sol.B)
+            d = rec.to_dict()
+            assert (d["lambda"], d["objective"], d["iters"], d["converged"], d["gap"]) == (
+                rec.lam, sol.objective, sol.iters, sol.converged, sol.gap)
+            assert d["kept_dims"] == list(rec.kept_dims)
 
 
 def test_full_path_single_point_at_ceiling_is_zero():
