@@ -133,7 +133,7 @@ def cmd_path(args):
     results, totals = {}, {}
     if args.mode == "both":
         comparison = compare(problem, weights, schedule, config, epsilon=args.epsilon,
-                             warm_start=args.warm_start)
+                             warm_start=args.warm_start, gram=gram)
         results = {"full": comparison.full, "screened": comparison.screened}
         totals = {
             "T_f_ms": float(comparison.t_full_ms[-1]),

@@ -6,6 +6,7 @@ import csv
 import io
 import json
 import os
+import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -209,8 +210,31 @@ def _parse_csv_matrix(path, expect_cols):
     return np.array(rows, dtype=float)
 
 
+def _read_csv_matrix(path, expect_cols):
+    """One data file as a matrix, by numpy's C reader where it accepts the file.
+
+    The reader refuses every malformed file it meets (and warns on an empty
+    one); those files, and any of a column count other than expected, go
+    to _parse_csv_matrix, which names the offending row and column.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)
+            data = np.loadtxt(path, delimiter=",", ndmin=2, comments=None, dtype=float)
+    except (ValueError, UserWarning):
+        data = None
+    if data is None or data.shape[1] != expect_cols:
+        return _parse_csv_matrix(path, expect_cols)
+    return data
+
+
 def load_problem(manifest_path):
-    """Load a problem from a manifest written by save_problem."""
+    """Load a problem from a manifest written by save_problem.
+
+    The data files are parsed by numpy's C reader; a file it refuses is
+    parsed again line by line, so malformed files still fail with the row
+    and column of the first bad value. The on-disk format is unchanged.
+    """
     try:
         with open(manifest_path) as fh:
             manifest = json.load(fh)
@@ -231,10 +255,10 @@ def load_problem(manifest_path):
             raise ValueError(f"data file not found: {path}")
         return path
 
-    y = _parse_csv_matrix(resolve(manifest["y"]), 1).reshape(-1)
+    y = _read_csv_matrix(resolve(manifest["y"]), 1).reshape(-1)
     if y.shape[0] != n:
         raise ValueError(f"y has {y.shape[0]} rows, manifest says n={n}")
-    stacked = _parse_csv_matrix(resolve(manifest["X"]), p * q)
+    stacked = _read_csv_matrix(resolve(manifest["X"]), p * q)
     if stacked.shape[0] != n:
         raise ValueError(f"X has {stacked.shape[0]} rows, manifest says n={n}")
     X = stacked.reshape(n, q, p).transpose(0, 2, 1)
@@ -313,9 +337,9 @@ def bench(specs, k=None, ratio=0.616, reps=10, config=None, gamma=1.0, epsilon=N
         for rep in range(reps):
             seeded = replace(spec, seed=spec.seed + rep)
             problem, _ = gen_shape(seeded) if is_shape else gen_gaussian(seeded)
-            weights, schedule, _ = prepare(problem, gamma=gamma, k=k_spec, ratio=ratio)
+            weights, schedule, gram = prepare(problem, gamma=gamma, k=k_spec, ratio=ratio)
             result = compare(problem, weights, schedule, config, reps=1,
-                             epsilon=epsilon, warm_start=warm_start)
+                             epsilon=epsilon, warm_start=warm_start, gram=gram)
             t_full.append(result.t_full_ms[0])
             t_screened.append(result.t_screened_ms[0])
             speedups.append(result.speedups[0])

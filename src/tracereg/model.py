@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -112,6 +113,17 @@ class GramFactor:
     def solve(self, z):
         """(stacked stacked^T)^{-1} z for a vector or a matrix of columns."""
         return scipy.linalg.cho_solve(self._cho, z)
+
+    @cached_property
+    def solved_designs(self):
+        """A_i of A = (stacked stacked^T)^{-1} stacked, as (n, p, q); solved on first use.
+
+        The solve mixes rows and a rotation U^T A_i V mixes entries within
+        a row, so the two commute: the screening rule rotates A at every
+        level instead of solving the rotated designs again.
+        """
+        n, p, q = self.problem.n, self.problem.p, self.problem.q
+        return self.solve(self.problem.stacked).reshape(n, q, p).transpose(0, 2, 1)
 
     def row_space_map(self, z):
         """stacked^T (stacked stacked^T)^{-1} z, the min-norm preimage."""

@@ -225,12 +225,14 @@ class CompareResult:
 
 
 def compare(problem, weights, schedule, config=None, reps=1, epsilon=None,
-            warm_start=False):
+            warm_start=False, gram=None):
     """Run both paths reps times on the same problem and compare them.
 
     Objective mismatches above SAFETY_OBJECTIVE_RTOL (relative) mark the
     comparison as a safety violation; they are reported, never dropped.
     warm_start applies to both paths alike so the timings stay comparable.
+    gram, a GramFactor of the problem, goes to every screened path; None
+    has each build its own.
     """
     config = config or AdmmConfig()
     t_full, t_screened = [], []
@@ -238,7 +240,7 @@ def compare(problem, weights, schedule, config=None, reps=1, epsilon=None,
     for _ in range(max(1, reps)):
         full = full_path(problem, weights, schedule, config, warm_start=warm_start)
         screened = screened_path(problem, weights, schedule, config,
-                                 epsilon=epsilon, warm_start=warm_start)
+                                 epsilon=epsilon, gram=gram, warm_start=warm_start)
         t_full.append(full.total_ms)
         t_screened.append(screened.total_ms)
     t_full = np.array(t_full)

@@ -25,7 +25,8 @@ the path oracle test in tests/test_screen.py).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -164,24 +165,45 @@ class ScreenOutcome:
     screened_cols: np.ndarray
     kept_rows: np.ndarray
     kept_cols: np.ndarray
-    reduced: GeneralizedInstance
     epsilon: float
+    context: ScreenContext = field(repr=False)
+
+    @cached_property
+    def reduced(self):
+        """The GeneralizedInstance on the kept directions, built on first access."""
+        context = self.context
+        problem = context.problem
+        u_kept = context.U[:, self.kept_rows]
+        v_kept = context.V[:, self.kept_cols]
+        xt = np.matmul(np.matmul(u_kept.T, problem.X), v_kept)
+        d1, d2 = self.kept_rows.size, self.kept_cols.size
+        return GeneralizedInstance(
+            Xt=xt,
+            stacked=xt.transpose(0, 2, 1).reshape(problem.n, d1 * d2),
+            y=problem.y,
+            M1=context.weights.W1 @ u_kept,
+            M2=v_kept.T @ context.weights.W2,
+            lam=context.lam,
+            left=u_kept,
+            right=v_kept,
+        )
 
 
 def screen(context, epsilon=None):
-    """Evaluate the bound matrix W and build the reduced instance.
+    """Evaluate the bound matrix W and find the rows and columns it drops.
 
-    All pq bounds are computed in one batch: the rotated designs
-    U^T X_i V supply every X vec(u_j v_k^T) simultaneously, so a single
-    Gram solve with pq right-hand sides replaces pq separate solves.
+    All pq bounds are computed in one batch. The Gram factor holds the
+    solved designs A_i = ((X X^T)^{-1} X)_i once per problem, and rotating
+    them, U^T A_i V, gives every (X X^T)^{-1} X vec(u_j v_k^T) at once, so
+    a level costs one rotation and no Gram solve. The reduced instance is
+    built only when it is read.
     """
     problem = context.problem
     n, p, q = problem.n, problem.p, problem.q
     scalars = compute_scalars(context)
 
-    x_rot = np.matmul(np.matmul(context.U.T, problem.X), context.V)
-    rot_stack = x_rot.transpose(0, 2, 1).reshape(n, p * q)
-    gammas = n * context.lam * context.gram.solve(rot_stack)
+    a_rot = np.matmul(np.matmul(context.U.T, context.gram.solved_designs), context.V)
+    gammas = n * context.lam * a_rot.transpose(0, 2, 1).reshape(n, p * q)
 
     base = (context.U.T @ context.pilot() @ context.V).reshape(-1, order="F")
 
@@ -193,28 +215,12 @@ def screen(context, epsilon=None):
         epsilon = DEFAULT_EPSILON_REL * (1.0 + float(np.max(np.abs(w))))
     row_dead = np.max(np.abs(w), axis=1) <= epsilon
     col_dead = np.max(np.abs(w), axis=0) <= epsilon
-
-    kept_rows = np.flatnonzero(~row_dead)
-    kept_cols = np.flatnonzero(~col_dead)
-    u_kept = context.U[:, kept_rows]
-    v_kept = context.V[:, kept_cols]
-    xt = x_rot[:, kept_rows][:, :, kept_cols]
-    reduced = GeneralizedInstance(
-        Xt=xt,
-        stacked=xt.transpose(0, 2, 1).reshape(n, kept_rows.size * kept_cols.size),
-        y=problem.y,
-        M1=context.weights.W1 @ u_kept,
-        M2=v_kept.T @ context.weights.W2,
-        lam=context.lam,
-        left=u_kept,
-        right=v_kept,
-    )
     return ScreenOutcome(
         W=w,
         screened_rows=np.flatnonzero(row_dead),
         screened_cols=np.flatnonzero(col_dead),
-        kept_rows=kept_rows,
-        kept_cols=kept_cols,
-        reduced=reduced,
+        kept_rows=np.flatnonzero(~row_dead),
+        kept_cols=np.flatnonzero(~col_dead),
         epsilon=float(epsilon),
+        context=context,
     )

@@ -342,11 +342,8 @@ def test_solve_counts_rank_by_the_path_rule(tmp_path, capsys, monkeypatch):
     assert json.loads(out)["rank"] == 1
 
 
-@pytest.mark.parametrize("argv", [["path", "--mode", "screened"], ["screen-stats"]],
-                         ids=["path-screened", "screen-stats"])
-def test_screened_commands_factor_the_gram_once(tmp_path, capsys, monkeypatch, argv):
-    # the screened path takes prepare's Gram factor instead of building its own
-    manifest = generate(capsys, tmp_path)
+def count_gram_factors(monkeypatch):
+    """The problems of every GramFactor built from here on, in order."""
     real_init = tracereg.model.GramFactor.__init__
     calls = []
 
@@ -355,6 +352,25 @@ def test_screened_commands_factor_the_gram_once(tmp_path, capsys, monkeypatch, a
         real_init(self, problem)
 
     monkeypatch.setattr(tracereg.model.GramFactor, "__init__", counting_init)
+    return calls
+
+
+@pytest.mark.parametrize("argv", [["path", "--mode", "screened"], ["path", "--mode", "both"],
+                                  ["screen-stats"]],
+                         ids=["path-screened", "path-both", "screen-stats"])
+def test_screened_commands_factor_the_gram_once(tmp_path, capsys, monkeypatch, argv):
+    # the screened path takes prepare's Gram factor instead of building its own
+    manifest = generate(capsys, tmp_path)
+    calls = count_gram_factors(monkeypatch)
     code, _, _ = run_cli(capsys, *argv, "--manifest", manifest, "--k", "3")
     assert code == EXIT_OK
     assert len(calls) == 1
+
+
+def test_bench_factors_the_gram_once_per_repetition(tmp_path, capsys, monkeypatch):
+    # each repetition generates one problem; its screened path takes prepare's factor
+    calls = count_gram_factors(monkeypatch)
+    code, _, _ = run_cli(capsys, "bench", "--p", "3", "--q", "4", "--n", "6", "--k", "2",
+                         "--reps", "2", "--out", str(tmp_path / "bench.json"))
+    assert code == EXIT_OK
+    assert len(calls) == 2

@@ -5,12 +5,14 @@ import json
 import numpy as np
 import pytest
 
+import tracereg.harness
 from tracereg import (
     SHAPE_CATALOG,
     BenchRecord,
     GaussianSpec,
     ShapeSpec,
     bench,
+    build_problem,
     gen_gaussian,
     gen_shape,
     load_problem,
@@ -18,6 +20,7 @@ from tracereg import (
     save_problem,
     shape_matrix,
 )
+from tracereg.harness import _parse_csv_matrix
 
 
 # ------------------------------------------------------------- generators
@@ -176,6 +179,73 @@ def test_load_reports_malformed_cells(tmp_path):
     x_path.write_text("\n".join([",".join(cells)] + rows[1:]) + "\n")
     with pytest.raises(ValueError, match="non-numeric value 'abc' at row 1, column 2"):
         load_problem(manifest)
+
+
+READER_CASES = {
+    # numpy's reader returns these
+    "blank-lines": "1,2\n\n3,4\n",
+    "crlf": "1,2\r\n3,4\r\n",
+    "spaces-around-cells": " 1 , 2 \n3 ,\t4\n",
+    "nan-inf": "nan,inf\n-inf,NaN\n",
+    "signs-and-exponents": "+1e3,-.5\n1E-3,.5\n",
+    # it refuses these, and the line parser reads or rejects them
+    "whitespace-only-line": "1,2\n   \n3,4\n",
+    "whitespace-separated": "1 2\n3 4\n",
+    "underscore-digits": "1_0,2\n3,4\n",
+    "hash": "1,#2\n3,4\n",
+    "ragged": "1,2\n3\n",
+    "trailing-comma": "1,2,\n3,4,\n",
+    "empty": "",
+}
+
+
+@pytest.mark.parametrize("text", READER_CASES.values(), ids=READER_CASES.keys())
+def test_load_matches_the_line_parser(tmp_path, monkeypatch, text):
+    # the line parser is the reference: the same bits or the same error
+    (tmp_path / "edge_y.csv").write_text("1\n2\n")
+    x_path = tmp_path / "edge_X.csv"
+    with open(x_path, "w", newline="") as fh:
+        fh.write(text)
+    manifest = tmp_path / "edge.json"
+    manifest.write_text(json.dumps({"n": 2, "p": 1, "q": 2, "y": "edge_y.csv",
+                                    "X": "edge_X.csv"}))
+    # take the arrays load_problem passes on; build_problem rejects nan and inf
+    monkeypatch.setattr(tracereg.harness, "build_problem", lambda X, y: X)
+
+    try:
+        expected = _parse_csv_matrix(str(x_path), 2)
+        if expected.shape[0] != 2:
+            raise ValueError(f"X has {expected.shape[0]} rows, manifest says n=2")
+    except ValueError as err:
+        with pytest.raises(ValueError) as caught:
+            load_problem(manifest)
+        assert str(caught.value) == str(err)
+        return
+    stacked = load_problem(manifest).transpose(0, 2, 1).reshape(2, 2)
+    assert stacked.tobytes() == expected.tobytes()
+
+
+def test_save_load_round_trip_keeps_extreme_values(tmp_path):
+    extremes = [5e-324, -0.0, 1.7976931348623157e308, -1.7976931348623157e308, 1 / 3]
+    problem, _ = gen_gaussian(GaussianSpec(p=2, q=3, n=5, seed=4))
+    X = problem.X.copy()
+    X[0, 0, :] = [5e-324, -0.0, 1 / 3]
+    problem = build_problem(X, extremes)
+    loaded = load_problem(save_problem(problem, tmp_path))
+    assert loaded.y.tobytes() == problem.y.tobytes()
+    assert loaded.stacked.tobytes() == problem.stacked.tobytes()
+
+
+def test_load_reads_saved_files_without_the_line_parser(tmp_path, monkeypatch):
+    problem, _ = gen_gaussian(GaussianSpec(p=3, q=4, n=6, seed=2))
+    manifest = save_problem(problem, tmp_path)
+
+    def refuse(path, expect_cols):
+        raise AssertionError(f"line parser called on {path}")
+
+    monkeypatch.setattr(tracereg.harness, "_parse_csv_matrix", refuse)
+    loaded = load_problem(manifest)
+    np.testing.assert_array_equal(loaded.stacked, problem.stacked)
 
 
 # ------------------------------------------------------------- bench loop

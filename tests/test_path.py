@@ -16,6 +16,7 @@ from tracereg import (
     solve,
 )
 from tracereg.harness import GaussianSpec, ShapeSpec, gen_gaussian, gen_shape, prepare
+from tracereg.model import GramFactor
 from tracereg.path import numerical_rank
 
 TIGHT = AdmmConfig(tol_primal=1e-8, tol_dual=1e-8, max_iter=100000)
@@ -82,6 +83,18 @@ def test_full_path_records():
     assert result.total_ms == pytest.approx(
         result.setup_ms + sum(r.solve_time_ms for r in result.records)
     )
+
+
+def test_screened_path_solves_the_gram_system_once(monkeypatch):
+    # B_ls and the solved designs; every screen rotates the solved designs
+    problem, weights, sched, gram = small_case(seed=1)
+    real_solve = GramFactor.solve
+    shapes = []
+    monkeypatch.setattr(GramFactor, "solve",
+                        lambda self, z: shapes.append(np.shape(z)) or real_solve(self, z))
+    result = screened_path(problem, weights, sched, gram=gram)
+    assert len(result.records) == 5
+    assert shapes == [(problem.n,), (problem.n, problem.p * problem.q)]
 
 
 def test_records_read_their_solution():

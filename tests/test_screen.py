@@ -470,6 +470,18 @@ def test_screen_partition_and_threshold_rule():
     )
 
 
+def test_screen_builds_the_reduced_instance_when_read(monkeypatch):
+    context, _, _ = pipeline_context(1)
+    real = screen_module.GeneralizedInstance
+    built = []
+    monkeypatch.setattr(screen_module, "GeneralizedInstance",
+                        lambda **kwargs: built.append(1) or real(**kwargs))
+    outcome = screen(context)
+    assert built == []
+    assert outcome.reduced is outcome.reduced
+    assert built == [1]
+
+
 def outcome_w(context):
     return np.abs(screen(context).W)
 
