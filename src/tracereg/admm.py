@@ -44,13 +44,14 @@ iterate. The certificate is:
 - the dual infeasibility (||Z^T r||_2/n - lambda)_+, relative to the
   instance's lambda_max.
 
-The unreduced problem has Xt_i = X_i and M1, M2 = W1, W2; a screened problem
-passes the rotated designs and the composed maps together with the embedding
-bases, so solutions always come back in the original p x q coordinates.
+The unreduced problem has Xt_i = X_i and M1, M2 = W1, W2. A screened level
+runs on FactorCache.restrict, C = Q_L C' Q_R^T on the designs Q_L^T Z_i Q_R;
+solutions always come back in the original p x q coordinates.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 import time
 from dataclasses import dataclass, replace
@@ -174,17 +175,15 @@ class FactorCache:
     Z_i = R1^{-T} Xt_i R2^{-1} stacked n x (d1 d2) with rows vec(Z_i), the
     gradient's Lipschitz constant L = ||Z||_2^2/n and the instance's own
     lambda_max = ||sum_i y_i Z_i||_2/n. Raises ValueError when R1 or R2
-    is singular.
+    is singular. A restriction (see restrict) also holds the orthonormal
+    bases Q_L, Q_R of its coordinates C = Q_L C' Q_R^T.
     """
+
+    q_left = q_right = None
 
     def __init__(self, instance):
         n, d1, d2 = instance.n, instance.d1, instance.d2
         self.d1, self.d2 = d1, d2
-        if d1 * d2 == 0:
-            self.r1, self.r2 = np.eye(d1), np.eye(d2)
-            self.Z = np.zeros((n, 0))
-            self.lipschitz = self.lambda_max = 0.0
-            return
         self.r1 = _triangular_factor(instance.M1, "M1")
         self.r2 = _triangular_factor(instance.M2.T, "M2")
         # R1^{-T} Xt_i for every i at once: columns of xt are indexed (i, b)
@@ -195,17 +194,40 @@ class FactorCache:
         z = scipy.linalg.solve_triangular(self.r2, a, trans="T")
         # Z_i^T flattened row-major is vec(Z_i)
         self.Z = z.reshape(d2, n, d1).transpose(1, 0, 2).reshape(n, d1 * d2)
+        self._measure(instance.y)
+
+    def _measure(self, y):
+        n = y.shape[0]
         self.lipschitz = spectral_norm(self.Z) ** 2 / n
-        self.lambda_max = spectral_norm(unvec(self.Z.T @ instance.y, d1, d2)) / n
+        self.lambda_max = spectral_norm(unvec(self.Z.T @ y, self.d1, self.d2)) / n
+
+    def restrict(self, instance, u, v):
+        """This cache restricted to B = u B' v^T, u and v with orthonormal columns.
+
+        With the thin QRs R1 u = Q_L T_L and R2 v = Q_R T_R, that is
+        C = Q_L C' Q_R^T with ||C||_* = ||C'||_*: a nuclear norm regression
+        in C' on the designs Q_L^T Z_i Q_R, one contraction of Z.
+        """
+        restricted = copy.copy(self)
+        restricted.q_left = np.linalg.qr(self.r1 @ u)[0]
+        restricted.q_right = np.linalg.qr(self.r2 @ v)[0]
+        restricted.d1, restricted.d2 = u.shape[1], v.shape[1]
+        # rows of Z hold Z_i^T row-major, and (Q_L^T Z_i Q_R)^T = Q_R^T Z_i^T Q_L
+        zt = self.Z.reshape(instance.n, self.d2, self.d1)
+        zt = np.matmul(np.matmul(restricted.q_right.T, zt), restricted.q_left)
+        restricted.Z = zt.reshape(instance.n, restricted.d1 * restricted.d2)
+        restricted._measure(instance.y)
+        return restricted
 
     def coordinates(self, theta_mat):
-        """C = R1 Theta R2^T."""
-        return self.r1 @ theta_mat @ self.r2.T
+        """C = R1 Theta R2^T, or C' = Q_L^T C Q_R on a restriction."""
+        c = self.r1 @ theta_mat @ self.r2.T
+        return c if self.q_left is None else self.q_left.T @ c @ self.q_right
 
     def solve(self, c_mat):
-        """Theta = R1^{-1} C R2^{-T}, by two triangular back-substitutions."""
-        if self.d1 * self.d2 == 0:
-            return np.zeros((self.d1, self.d2))
+        """Theta = R1^{-1} C R2^{-T} (C = Q_L C' Q_R^T on a restriction)."""
+        if self.q_left is not None:
+            c_mat = self.q_left @ c_mat @ self.q_right.T
         t = scipy.linalg.solve_triangular(self.r1, c_mat)
         return scipy.linalg.solve_triangular(self.r2, t.T).T
 
@@ -269,7 +291,8 @@ def solve(instance, config=None, cache=None, warm_start=None):
     def certified(gap, infeasibility):
         return gap <= config.tol_primal and infeasibility <= config.tol_dual
 
-    n, d1, d2, lam, y = instance.n, instance.d1, instance.d2, instance.lam, instance.y
+    n, lam, y = instance.n, instance.lam, instance.y
+    d1, d2 = cache.d1, cache.d2
     z_mat, lipschitz = cache.Z, cache.lipschitz
     # iterates are held transposed, d2 x d1 in C order: their ravel() is then
     # vec of the d1 x d2 matrix, a view that lines up with the rows of Z

@@ -25,7 +25,7 @@ from .harness import (
     report,
     save_problem,
 )
-from .path import LambdaSchedule, compare, full_path, numerical_rank, screened_path
+from .path import compare, full_path, numerical_rank, screened_path
 
 EXIT_OK = 0
 EXIT_NO_CONVERGENCE = 2
@@ -123,11 +123,6 @@ def cmd_path(args):
         raise ValueError("screening requires a numerically full row rank design; "
                          "use path --mode full")
     weights, schedule, gram = prepare(problem, gamma=args.gamma, k=args.k, ratio=args.ratio)
-    if args.lambda_max_ratio != 1.0:
-        schedule = LambdaSchedule(
-            lambda_max=schedule.lambda_max * args.lambda_max_ratio,
-            k=args.k, ratio=args.ratio,
-        )
     config = _config(args)
 
     results, totals = {}, {}
@@ -182,9 +177,13 @@ def _bench_specs(args):
             raw = json.load(fh)
         specs = []
         for entry in raw:
-            kind = entry.pop("kind", "gaussian")
-            entry.setdefault("seed", args.seed)
-            specs.append(ShapeSpec(**entry) if kind == "shape" else GaussianSpec(**entry))
+            try:
+                fields = dict(entry)
+                kind = fields.pop("kind", "gaussian")
+                fields.setdefault("seed", args.seed)
+                specs.append(ShapeSpec(**fields) if kind == "shape" else GaussianSpec(**fields))
+            except (TypeError, ValueError) as err:
+                raise ValueError(f"bad bench spec {json.dumps(entry)}: {err}") from None
         return specs
     return [_problem_spec(args)]
 
@@ -239,8 +238,6 @@ def build_parser():
     pat = subs.add_parser("path", help="solve along a geometric grid")
     pat.add_argument("--manifest", required=True)
     pat.add_argument("--mode", choices=("full", "screened", "both"), default="both")
-    pat.add_argument("--lambda-max-ratio", type=float, default=1.0,
-                     help="scale the grid anchor")
     pat.add_argument("--warm-start", action="store_true")
     pat.add_argument("--epsilon", type=float, default=None,
                      help="screening threshold override")

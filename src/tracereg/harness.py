@@ -326,6 +326,8 @@ def bench(specs, k=None, ratio=0.616, reps=10, config=None, gamma=1.0, epsilon=N
     mean/variance covers sampling noise, matching the usual protocol.
     Safety violations are flagged in the record, never dropped.
     """
+    if reps < 1:
+        raise ValueError(f"reps must be at least 1, got {reps}")
     config = config or AdmmConfig()
     records = []
     for spec in specs:

@@ -64,6 +64,8 @@ def build_problem(X, y):
     if X.ndim != 3:
         raise ValueError(f"X must be n stacked p x q matrices, got shape {X.shape}")
     n, p, q = X.shape
+    if min(n, p, q) < 1:
+        raise ValueError(f"need n, p and q at least 1, got n={n}, p={p}, q={q}")
     if y.shape[0] != n:
         raise ValueError(f"y has {y.shape[0]} entries but X has {n} matrices")
     if not np.all(np.isfinite(X)):

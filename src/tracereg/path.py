@@ -4,11 +4,12 @@ One runner walks the grid in ascending lambda and solves every level; the
 full and screened paths differ only in an optional screening step in front
 of each solve. That step follows the sequential rule: the singular bases
 of the previous solution and its KKT dual estimate bound the next
-solution, and the rows and columns bounded to zero are dropped before the
-solver runs. A step that drops nothing leaves the level to be solved
-exactly as the full path solves it. Timing totals separate setup, solver
-and screening work so the two paths can be compared honestly; weight
-construction is shared preprocessing and excluded from both.
+solution, and the level is solved on the path's FactorCache restricted to
+the directions it keeps (FactorCache.restrict). A step that drops nothing
+leaves the level to be solved exactly as the full path solves it. Timing
+totals separate setup, solver and screening work so the two paths can be
+compared honestly; weight construction is shared preprocessing and
+excluded from both.
 """
 
 from __future__ import annotations
@@ -159,7 +160,7 @@ def _run_path(mode, problem, weights, schedule, config, warm_start, epsilon=None
     for m, lam in enumerate(schedule.values):
         lam = float(lam)
         advance = screening and m > 0
-        reduced, screen_ms = None, 0.0
+        level_cache, screen_ms = cache, 0.0
         screened, kept = (0, 0), (problem.p, problem.q)
         if advance:
             t0 = time.perf_counter()
@@ -170,21 +171,15 @@ def _run_path(mode, problem, weights, schedule, config, warm_start, epsilon=None
                 weights=weights, b_ls=b_ls,
             )
             outcome = screen(context, epsilon=epsilon)
-            screen_ms = (time.perf_counter() - t0) * 1e3
             screened = (int(outcome.screened_rows.size), int(outcome.screened_cols.size))
             kept = (int(outcome.kept_rows.size), int(outcome.kept_cols.size))
             if any(screened):
-                reduced = outcome.reduced
+                level_cache = cache.restrict(base, bases.U_full[:, outcome.kept_rows],
+                                             bases.V_full[:, outcome.kept_cols])
+            screen_ms = (time.perf_counter() - t0) * 1e3
 
         t0 = time.perf_counter()
-        if reduced is None:
-            # no reduction: the unreduced instance and the path's precompute
-            sol = solve(base.at_lambda(lam), config, cache=cache, warm_start=b_prev)
-        else:
-            # the bases rotate between levels, so warm-start from B restricted
-            # onto the kept bases; exact when nothing newly screened was active
-            init = None if b_prev is None else reduced.left.T @ b_prev @ reduced.right
-            sol = solve(reduced, config, cache=precompute(reduced), warm_start=init)
+        sol = solve(base.at_lambda(lam), config, cache=level_cache, warm_start=b_prev)
         solve_ms = (time.perf_counter() - t0) * 1e3
         if warm_start:
             b_prev = sol.B

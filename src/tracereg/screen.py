@@ -25,12 +25,10 @@ the path oracle test in tests/test_screen.py).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
-from .admm import GeneralizedInstance
 from .model import min_norm_least_squares
 
 # screening threshold: entries of W below eps * (1 + max |W|) count as zero
@@ -166,27 +164,6 @@ class ScreenOutcome:
     kept_rows: np.ndarray
     kept_cols: np.ndarray
     epsilon: float
-    context: ScreenContext = field(repr=False)
-
-    @cached_property
-    def reduced(self):
-        """The GeneralizedInstance on the kept directions, built on first access."""
-        context = self.context
-        problem = context.problem
-        u_kept = context.U[:, self.kept_rows]
-        v_kept = context.V[:, self.kept_cols]
-        xt = np.matmul(np.matmul(u_kept.T, problem.X), v_kept)
-        d1, d2 = self.kept_rows.size, self.kept_cols.size
-        return GeneralizedInstance(
-            Xt=xt,
-            stacked=xt.transpose(0, 2, 1).reshape(problem.n, d1 * d2),
-            y=problem.y,
-            M1=context.weights.W1 @ u_kept,
-            M2=v_kept.T @ context.weights.W2,
-            lam=context.lam,
-            left=u_kept,
-            right=v_kept,
-        )
 
 
 def screen(context, epsilon=None):
@@ -195,8 +172,8 @@ def screen(context, epsilon=None):
     All pq bounds are computed in one batch. The Gram factor holds the
     solved designs A_i = ((X X^T)^{-1} X)_i once per problem, and rotating
     them, U^T A_i V, gives every (X X^T)^{-1} X vec(u_j v_k^T) at once, so
-    a level costs one rotation and no Gram solve. The reduced instance is
-    built only when it is read.
+    a level costs one rotation and no Gram solve. The path solves the level
+    on the kept columns of U and V (FactorCache.restrict).
     """
     problem = context.problem
     n, p, q = problem.n, problem.p, problem.q
@@ -222,5 +199,4 @@ def screen(context, epsilon=None):
         kept_rows=np.flatnonzero(~row_dead),
         kept_cols=np.flatnonzero(~col_dead),
         epsilon=float(epsilon),
-        context=context,
     )

@@ -318,6 +318,18 @@ def test_bad_grid_ratio_is_input_error(tmp_path, capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv", [
+    ["generate", "--n", "0", "--out", "{tmp}/out"],
+    ["bench", "--p", "3", "--q", "4", "--n", "6", "--k", "2", "--reps", "0"],
+    ["bench", "--spec-file", "{tmp}/specs.json", "--k", "2", "--reps", "1"],
+], ids=["generate-n0", "bench-reps0", "bench-unknown-spec-key"])
+def test_bad_generator_input_is_input_error(tmp_path, capsys, argv):
+    (tmp_path / "specs.json").write_text('[{"p": 3, "q": 4, "n": 6, "bogus": 1}]')
+    code, _, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv))
+    assert code == EXIT_INPUT
+    assert err.startswith("error:")
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "tracereg.cli", "--help"],

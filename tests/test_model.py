@@ -57,6 +57,9 @@ def test_build_problem_validation():
         build_problem(bad, np.zeros(2))
     with pytest.raises(ValueError, match="y contains"):
         build_problem(np.ones((2, 2, 2)), [1.0, np.inf])
+    for shape in ((0, 2, 2), (2, 0, 2), (2, 2, 0)):
+        with pytest.raises(ValueError, match="at least 1"):
+            build_problem(np.zeros(shape), np.zeros(shape[0]))
 
 
 def test_build_problem_rank_deficient_warns():

@@ -223,7 +223,7 @@ def test_partial_screening_embeds_exact_zero_directions():
     problem, weights, sched, gram = small_case(seed=7, k=4)
 
     from tracereg.screen import ScreenContext, screen
-    from tracereg import make_instance, vec
+    from tracereg import make_instance, precompute, vec
 
     sol1 = solve(make_instance(problem, weights, float(sched.values[0])), TIGHT)
     theta1 = (problem.stacked @ vec(sol1.B) - problem.y) / (
@@ -239,7 +239,10 @@ def test_partial_screening_embeds_exact_zero_directions():
     eps = float(np.percentile(np.max(np.abs(w), axis=1), 60.0))
     outcome = screen(context, epsilon=eps)
     assert outcome.screened_rows.size > 0
-    sol = solve(outcome.reduced, TIGHT)
+    instance = make_instance(problem, weights, float(sched.values[1]))
+    cache = precompute(instance).restrict(
+        instance, u[:, outcome.kept_rows], vt.T[:, outcome.kept_cols])
+    sol = solve(instance, TIGHT, cache=cache)
     coeff = u.T @ sol.B @ vt.T
     scale = 1.0 + float(np.max(np.abs(coeff)))
     for j in outcome.screened_rows:

@@ -8,6 +8,8 @@ import pytest
 
 from tracereg import (
     AdmmConfig,
+    FactorCache,
+    GeneralizedInstance,
     GramFactor,
     ScreenContext,
     ScreenScalars,
@@ -19,7 +21,9 @@ from tracereg import (
     lambda_max,
     make_instance,
     min_norm_least_squares,
+    precompute,
     screen,
+    screened_path,
     solve,
     svd,
     vec,
@@ -49,6 +53,14 @@ def pipeline_context(seed, p=4, q=6, n=12, r0=0.35, r1=0.6):
         problem=problem, gram=gram, U=u, V=vt.T, weights=weights,
     )
     return context, problem, weights
+
+
+def restricted_level(context, outcome):
+    """The level's instance and the path's cache restricted to the kept directions."""
+    instance = make_instance(context.problem, context.weights, context.lam)
+    cache = precompute(instance).restrict(
+        instance, context.U[:, outcome.kept_rows], context.V[:, outcome.kept_cols])
+    return instance, cache
 
 
 def identity_context(problem, weights, gram, lam0, lam, theta=None):
@@ -463,23 +475,25 @@ def test_screen_partition_and_threshold_rule():
     cols = np.sort(np.concatenate([outcome.screened_cols, outcome.kept_cols]))
     np.testing.assert_array_equal(rows, np.arange(problem.p))
     np.testing.assert_array_equal(cols, np.arange(problem.q))
-    assert outcome.reduced.d1 == outcome.kept_rows.size
-    assert outcome.reduced.d2 == outcome.kept_cols.size
-    assert outcome.reduced.stacked.shape == (
+    _, cache = restricted_level(context, outcome)
+    assert (cache.d1, cache.d2) == (outcome.kept_rows.size, outcome.kept_cols.size)
+    assert cache.Z.shape == (
         problem.n, outcome.kept_rows.size * outcome.kept_cols.size
     )
 
 
-def test_screen_builds_the_reduced_instance_when_read(monkeypatch):
-    context, _, _ = pipeline_context(1)
-    real = screen_module.GeneralizedInstance
-    built = []
-    monkeypatch.setattr(screen_module, "GeneralizedInstance",
-                        lambda **kwargs: built.append(1) or real(**kwargs))
-    outcome = screen(context)
-    assert built == []
-    assert outcome.reduced is outcome.reduced
-    assert built == [1]
+def test_screened_path_restricts_the_cache_only_when_it_screens(monkeypatch):
+    problem, _ = gen_gaussian(GaussianSpec(p=4, q=6, n=12, seed=1))
+    weights, schedule, gram = prepare(problem, k=4)
+    real = FactorCache.restrict
+    calls = []
+    monkeypatch.setattr(FactorCache, "restrict",
+                        lambda *a: calls.append(1) or real(*a))
+    result = screened_path(problem, weights, schedule, gram=gram)
+    assert not any(r.screened_rows or r.screened_cols for r in result.records)
+    assert calls == []
+    screened_path(problem, weights, schedule, epsilon=np.inf, gram=gram)
+    assert len(calls) == schedule.k - 1
 
 
 def outcome_w(context):
@@ -490,8 +504,11 @@ def test_screen_everything_gives_empty_problem_and_zero_solution():
     context, problem, _ = pipeline_context(4)
     outcome = screen(context, epsilon=np.inf)
     assert outcome.kept_rows.size == 0 and outcome.kept_cols.size == 0
-    assert outcome.reduced.d1 == 0 and outcome.reduced.d2 == 0
-    sol = solve(outcome.reduced)
+    instance, cache = restricted_level(context, outcome)
+    assert cache.d1 == 0 and cache.d2 == 0
+    assert cache.Z.shape == (problem.n, 0)
+    assert cache.lipschitz == cache.lambda_max == 0.0
+    sol = solve(instance, cache=cache)
     assert sol.converged
     np.testing.assert_array_equal(sol.B, np.zeros((problem.p, problem.q)))
 
@@ -501,13 +518,40 @@ def test_screened_solve_matches_full_solve():
         context, problem, weights = pipeline_context(seed, p=3, q=5, n=10)
         outcome = screen(context)
         full = solve(make_instance(problem, weights, context.lam), TIGHT)
-        reduced = solve(outcome.reduced, TIGHT)
+        instance, cache = restricted_level(context, outcome)
+        reduced = solve(instance, TIGHT, cache=cache)
         assert full.converged and reduced.converged
         scale = 1.0 + abs(full.objective)
         assert abs(reduced.objective - full.objective) <= 1e-6 * scale
         assert np.linalg.norm(reduced.B - full.B) <= 1e-6 * (
             1.0 + np.linalg.norm(full.B)
         )
+
+
+def test_restricted_solve_matches_the_rotated_reduced_instance():
+    # reference: the level as its own instance on the kept directions, with
+    # rotated designs, composed maps and embedding bases, solved from scratch
+    for seed in range(6):
+        context, problem, weights = pipeline_context(seed)
+        peaks = np.max(np.abs(screen(context).W), axis=1)
+        for pct in (0.0, 50.0):
+            outcome = screen(context, epsilon=float(np.percentile(peaks, pct)))
+            assert outcome.screened_rows.size > 0
+            u = context.U[:, outcome.kept_rows]
+            v = context.V[:, outcome.kept_cols]
+            xt = (u.T @ problem.X) @ v
+            reference = GeneralizedInstance(
+                Xt=xt, stacked=xt.transpose(0, 2, 1).reshape(problem.n, -1),
+                y=problem.y, M1=weights.W1 @ u, M2=v.T @ weights.W2,
+                lam=context.lam, left=u, right=v,
+            )
+            expected = solve(reference, TIGHT)
+            instance, cache = restricted_level(context, outcome)
+            got = solve(instance, TIGHT, cache=cache)
+            assert got.converged and expected.converged
+            assert got.iters == expected.iters
+            assert got.objective == pytest.approx(expected.objective, rel=1e-12)
+            assert np.linalg.norm(got.B - expected.B) <= 1e-12 * np.linalg.norm(expected.B)
 
 
 def test_screened_pairs_are_safe_against_full_solve():
