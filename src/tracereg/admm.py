@@ -24,11 +24,12 @@ prox and one product Z c from the same x and gradient. The momentum follows
 t_k = (1 + sqrt(1 + 4 t_{k-1}^2 L_k / L_{k-1}))/2; x is built before L_{k+1}
 is known, with t_{k+1} taken at the first trial's ratio. (Building x anew
 for each trial, as Scheinberg et al. do, took 10.5 % more prox evaluations
-on the benchmark paths.) max_iter counts accepted steps; Solution.backtracks
-counts the rejected trials. On the benchmark's warm full paths the prox
-count fell from 7 785 / 6 820 / 7 320 (Gaussian 15 x 45, n = 30, seeds 0-2),
-750 and 1 390 (cross 32 x 32, n = 10 and 100) at the fixed step 1/L to
-5 776 / 4 458 / 4 880, 506 and 1 003, every level certified.
+on the benchmark paths walked in ascending lambda.) max_iter counts accepted
+steps; Solution.backtracks counts the rejected trials. On the benchmark's
+warm full paths, walked from lambda_max down, the prox count falls from
+4 455 / 2 650 / 3 315 (Gaussian 15 x 45, n = 30, seeds 0-2), 670 and 1 220
+(cross 32 x 32, n = 10 and 100) at the fixed step 1/L to 3 612 / 1 890 /
+2 186, 432 and 835, every level certified.
 
 The iterate is held transposed so that vec is a view, and the loop updates
 preallocated buffers in place. Every CHECK_EVERY iterations the iterate is

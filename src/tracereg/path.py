@@ -1,15 +1,18 @@
 """Solution paths over a lambda grid, with and without screening.
 
-One runner walks the grid in ascending lambda and solves every level; the
-full and screened paths differ only in an optional screening step in front
-of each solve. That step follows the sequential rule: the singular bases
-of the previous solution and its KKT dual estimate bound the next
+One runner walks the grid from lambda_max down, solves every level and
+returns the records in ascending lambda; the full and screened paths
+differ only in an optional screening step in front of each solve. That
+step follows the sequential rule: the singular bases of the previous
+(larger lambda) solution and its KKT dual estimate bound the next
 solution, and the level is solved on the path's FactorCache restricted to
-the directions it keeps (FactorCache.restrict). A step that drops nothing
-leaves the level to be solved exactly as the full path solves it. Timing
-totals separate setup, solver and screening work so the two paths can be
-compared honestly; weight construction is shared preprocessing and
-excluded from both.
+the directions it keeps (FactorCache.restrict). The first step starts from
+lambda_max itself, where B = 0 and the dual solution is -y/(n lambda_max),
+so every level is screened. A step that drops nothing leaves the level to
+be solved exactly as the full path solves it. Timing totals separate
+setup, solver and screening work so the two paths can be compared
+honestly; weight construction is shared preprocessing and excluded from
+both.
 """
 
 from __future__ import annotations
@@ -127,7 +130,7 @@ def full_path(problem, weights, schedule, config=None, warm_start=False):
 
 def screened_path(problem, weights, schedule, config=None, epsilon=None, gram=None,
                   warm_start=False):
-    """The path with a screening step in front of every level after the first."""
+    """The path with a screening step in front of every level."""
     if not problem.full_row_rank:
         raise ValueError("screening requires a numerically full row rank design")
     return _run_path("screened", problem, weights, schedule, config, warm_start,
@@ -136,37 +139,41 @@ def screened_path(problem, weights, schedule, config=None, epsilon=None, gram=No
 
 def _run_path(mode, problem, weights, schedule, config, warm_start, epsilon=None,
               gram=None):
-    """Solve every level in ascending lambda; screen first in "screened" mode.
+    """Solve every level in descending lambda; screen first in "screened" mode.
 
-    The first level only anchors the records. The screening pipeline stays
-    seeded with the minimum-norm interpolant (its residual is exactly zero,
-    so theta = 0 is the matching dual estimate) until the second level's
-    solution, and tracks each solution's singular bases from then on.
+    The records come back in the schedule's ascending order. Each level is
+    solved after the one above it, so a warm level starts from the solution
+    at the next larger lambda, and the first solved level from B = 0, the
+    solution at lambda_max. The screened mode starts at lambda_max too: its
+    dual solution there is -y/(n lambda_max), and any orthogonal bases are
+    singular bases of B = 0 (the pilot's are taken). Every level is screened
+    from the level solved before it, with that level's dual estimate and the
+    full singular bases of its B.
     """
     config = config or AdmmConfig()
     screening = mode == "screened"
 
     t0 = time.perf_counter()
+    base = make_instance(problem, weights, schedule.values[0])
+    cache = precompute(base)
     if screening:
         gram = gram or GramFactor(problem)
         b_ls = min_norm_least_squares(problem, gram)
         bases = svd(b_ls, full=True)
-    base = make_instance(problem, weights, schedule.values[0])
-    cache = precompute(base)
+        lam_prev = cache.lambda_max
+        theta_prev = -problem.y / (problem.n * lam_prev)
     setup_ms = (time.perf_counter() - t0) * 1e3
 
     records = []
     b_prev = None
-    for m, lam in enumerate(schedule.values):
+    for lam in schedule.values[::-1]:
         lam = float(lam)
-        advance = screening and m > 0
         level_cache, screen_ms = cache, 0.0
         screened, kept = (0, 0), (problem.p, problem.q)
-        if advance:
+        if screening:
             t0 = time.perf_counter()
             context = ScreenContext(
-                lambda0=float(schedule.values[m - 1]), lam=lam,
-                theta_prev=records[-1].theta if m > 1 else np.zeros(problem.n),
+                lambda0=lam_prev, lam=lam, theta_prev=theta_prev,
                 problem=problem, gram=gram, U=bases.U_full, V=bases.V_full,
                 weights=weights, b_ls=b_ls,
             )
@@ -184,23 +191,23 @@ def _run_path(mode, problem, weights, schedule, config, warm_start, epsilon=None
         if warm_start:
             b_prev = sol.B
 
-        # from level 2 on the screened path the full singular bases of B
-        # feed the next screen, along with the record's dual estimate
-        if advance:
+        # on the screened path the full singular bases of B feed the next
+        # screen, along with the record's dual estimate
+        if screening:
             bases = svd(sol.B, full=True, rtol=RANK_RTOL)
-        records.append(
-            PathRecord(
-                lam=lam,
-                solution=sol,
-                rank=bases.rank if advance else numerical_rank(sol.B),
-                solve_time_ms=solve_ms,
-                screen_time_ms=screen_ms,
-                screened_rows=screened[0],
-                screened_cols=screened[1],
-                kept_dims=kept,
-            )
+        record = PathRecord(
+            lam=lam,
+            solution=sol,
+            rank=bases.rank if screening else numerical_rank(sol.B),
+            solve_time_ms=solve_ms,
+            screen_time_ms=screen_ms,
+            screened_rows=screened[0],
+            screened_cols=screened[1],
+            kept_dims=kept,
         )
-    return PathResult(mode=mode, records=tuple(records), setup_ms=setup_ms)
+        records.append(record)
+        lam_prev, theta_prev = lam, record.theta
+    return PathResult(mode=mode, records=tuple(records[::-1]), setup_ms=setup_ms)
 
 
 SAFETY_OBJECTIVE_RTOL = 1e-4

@@ -1,14 +1,21 @@
 """Safe subspace screening for the solution path.
 
-Given the dual estimate at a smaller lambda0, the dual solution at lambda
-is confined to the region
+Given the dual solution theta_prev at another lambda0, the dual solution
+at lambda is confined to the region
 
     Omega = {theta : <theta_prev + y/(n lambda0), theta - theta_prev> >= 0}
             intersect {theta : ||theta - c|| <= eta},
 
-a half-space (optimality of theta_prev at lambda0) cut with a ball
-(optimality of theta(lambda) tested against the feasible theta_prev). For
-each singular direction pair (u_j, v_k) of the previous solution, the
+a half-space cut with a ball, c = (theta_prev - y/(n lambda))/2 and
+eta = ||theta_prev + y/(n lambda)||/2. The dual solution at any lambda is
+the projection of -y/(n lambda) onto the dual feasible set F, which does
+not depend on lambda. The half-space is the projection inequality of
+theta_prev, the projection of -y/(n lambda0), tested against theta(lambda)
+in F; the ball is that of theta(lambda) tested against theta_prev in F.
+Neither uses the order of lambda0 and lambda, so the path can step from
+lambda_max down: there B = 0 and theta_prev = -y/(n lambda_max) exactly.
+
+For each singular direction pair (u_j, v_k) of the previous solution, the
 coefficient of the next solution is bounded by
 
     W[j, k] = max(P1, P2),  P1 =  <B_ls, u_j v_k^T> + f_opt(gamma),
@@ -19,8 +26,8 @@ bound on the maximum of <gamma, .> over Omega (exact away from
 degenerate plane-ball geometry). Rows and columns whose W entries all
 vanish are dropped from the problem. That leaves the solution unchanged
 only when W bounds it, which needs vec(B) in the row space of the design
-(true for every B when n = pq); for n < pq converged paths exceed W (see
-the path oracle test in tests/test_screen.py).
+(true for every B when n = pq); for n < pq converged paths exceed W in
+either order (see the path oracle tests in tests/test_screen.py).
 """
 
 from __future__ import annotations
@@ -41,11 +48,16 @@ DEGENERATE_RTOL = 1e-12
 
 @dataclass(frozen=True)
 class ScreenContext:
-    """Everything the rule needs for one lambda0 -> lam step."""
+    """Everything the rule needs for one lambda0 -> lam step.
+
+    lambda0 may lie above or below lam: the region holds in either order
+    (see the module docstring). lambda0 == lam is rejected: there the
+    region collapses to the point theta_prev and there is no step to screen.
+    """
 
     lambda0: float
     lam: float
-    theta_prev: np.ndarray   # dual estimate at lambda0
+    theta_prev: np.ndarray   # dual solution (estimate) at lambda0
     problem: object
     gram: object             # GramFactor of the problem
     U: np.ndarray            # p x p left singular basis of B(lambda0)
@@ -60,9 +72,10 @@ class ScreenContext:
         return min_norm_least_squares(self.problem, self.gram)
 
     def __post_init__(self):
-        if not 0.0 < self.lambda0 < self.lam:
+        if not (self.lambda0 > 0.0 and self.lam > 0.0 and self.lambda0 != self.lam):
             raise ValueError(
-                f"need 0 < lambda0 < lam, got lambda0={self.lambda0}, lam={self.lam}"
+                "need positive lambda0 != lam, "
+                f"got lambda0={self.lambda0}, lam={self.lam}"
             )
         p, q = self.problem.p, self.problem.q
         for name, mat, dim in (("U", self.U, p), ("V", self.V, q)):

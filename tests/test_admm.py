@@ -364,3 +364,14 @@ def test_adaptive_step_takes_fewer_proxes_on_the_gaussian_path():
     assert all(r.converged for r in result.records)
     proxes = sum(r.solution.iters + r.solution.backtracks for r in result.records)
     assert proxes < 7785
+
+
+def test_descending_warm_path_takes_fewer_proxes_than_the_ascending_one():
+    # walked in ascending lambda, cold at the smallest, this path took 5 776
+    # prox evaluations; from lambda_max down it takes 3 612
+    problem, _ = gen_gaussian(GaussianSpec(p=15, q=45, n=30, rank=2, seed=0))
+    weights, schedule, _ = prepare(problem, k=20)
+    result = full_path(problem, weights, schedule, warm_start=True)
+    assert all(r.converged for r in result.records)
+    proxes = sum(r.solution.iters + r.solution.backtracks for r in result.records)
+    assert proxes < 5776

@@ -1,8 +1,11 @@
 """Lambda grids and the two solution paths, plus their comparison."""
 
+import json
+
 import numpy as np
 import pytest
 
+import tracereg.path
 from tracereg import (
     AdmmConfig,
     LambdaSchedule,
@@ -15,6 +18,7 @@ from tracereg import (
     screened_path,
     solve,
 )
+from tracereg.cli import EXIT_OK, main
 from tracereg.harness import GaussianSpec, ShapeSpec, gen_gaussian, gen_shape, prepare
 from tracereg.model import GramFactor
 from tracereg.path import numerical_rank
@@ -83,6 +87,34 @@ def test_full_path_records():
     assert result.total_ms == pytest.approx(
         result.setup_ms + sum(r.solve_time_ms for r in result.records)
     )
+
+
+def test_paths_solve_descending_and_report_ascending(monkeypatch, tmp_path, capsys):
+    real_solve = tracereg.path.solve
+    solved = []
+    monkeypatch.setattr(tracereg.path, "solve", lambda instance, *a, **kw: (
+        solved.append(instance.lam) or real_solve(instance, *a, **kw)))
+
+    def strictly_descending(lams):
+        return all(a > b for a, b in zip(lams, lams[1:]))
+
+    problem, weights, sched, gram = small_case(seed=2)
+    for run in (full_path, lambda *a, **kw: screened_path(*a, gram=gram, **kw)):
+        result = run(problem, weights, sched, warm_start=True)
+        lams = [r.lam for r in result.records]
+        assert lams == list(sched.values)
+        assert strictly_descending(lams[::-1])
+        assert solved == lams[::-1]
+        solved.clear()
+
+    assert main(["generate", "--p", "4", "--q", "5", "--n", "8", "--seed", "3",
+                 "--out", str(tmp_path)]) == EXIT_OK
+    manifest = capsys.readouterr().out.strip()
+    assert main(["path", "--manifest", manifest, "--k", "4", "--mode", "both"]) == EXIT_OK
+    lams = [r["lambda"] for r in json.loads(capsys.readouterr().out)["records"]]
+    assert len(lams) == 4 and strictly_descending(lams[::-1])
+    # the full path, then the screened one, each from the top of the grid
+    assert solved == lams[::-1] * 2
 
 
 def test_screened_path_solves_the_gram_system_once(monkeypatch):
@@ -174,11 +206,11 @@ def test_screened_path_record_layout():
     result = screened_path(problem, weights, sched)
     assert result.mode == "screened"
     assert len(result.records) == sched.k
-    first = result.records[0]
-    assert first.kept_dims == (problem.p, problem.q)
-    assert first.screen_time_ms == 0.0
-    for rec in result.records[1:]:
-        assert rec.screen_time_ms >= 0.0
+    # every level is screened, the first solved one from lambda_max; at the
+    # default threshold nothing is dropped here
+    for rec in result.records:
+        assert rec.screen_time_ms > 0.0
+        assert rec.kept_dims == (problem.p, problem.q)
         assert rec.kept_dims[0] + rec.screened_rows == problem.p
         assert rec.kept_dims[1] + rec.screened_cols == problem.q
     assert result.total_ms == pytest.approx(
@@ -208,7 +240,7 @@ def test_screened_objectives_match_full_path():
 def test_screen_everything_path_returns_zeros():
     problem, weights, sched, _ = small_case(seed=6)
     result = screened_path(problem, weights, sched, epsilon=np.inf)
-    for rec in result.records[1:]:
+    for rec in result.records:
         assert rec.kept_dims == (0, 0)
         assert rec.screened_rows == problem.p
         assert rec.screened_cols == problem.q
