@@ -32,16 +32,17 @@ warm full paths, walked from lambda_max down, the prox count falls from
 2 186, 432 and 835, every level certified.
 
 The iterate is held transposed so that vec is a view, and the loop updates
-preallocated buffers in place. Every CHECK_EVERY iterations the iterate is
-certified with the residual r = Z c - y, at the cost of one product Z^T r
-and the top eigenvalue of its Gram; ||c||_* comes from the spectrum the prox
-returned. A check that passes is repeated with ||c||_* from the singular
-values of c itself, so every accepted gap is computed from the returned
-iterate. The certificate is:
+preallocated buffers in place. Every CHECK_EVERY iterations _certificate
+checks the iterate from its residual r = Z c - y, at the cost of one
+product Z^T r and the top eigenvalue of its Gram, with ||c||_* from the
+prox's spectrum; a pass is confirmed on the same certificate with the
+singular values of c. The Solution's objective P, theta = r/n and gap all
+come from the certificate of the returned iterate. The certificate is:
 
-- the duality gap P - D, with the dual D(theta) = ||y||^2/2n
-  - (n lambda^2/2) ||theta + y/(n lambda)||^2 taken at theta = r/(n lambda)
-  scaled to feasibility, relative to ||y||^2/2n (the objective at B = 0);
+- the duality gap P - D, P = ||r||^2/2n + lambda ||c||_*, with the dual
+  D(theta) = ||y||^2/2n - (n lambda^2/2) ||theta + y/(n lambda)||^2 taken at
+  theta = r/(n lambda) scaled to feasibility, relative to ||y||^2/2n (the
+  objective at B = 0);
 - the dual infeasibility (||Z^T r||_2/n - lambda)_+, relative to the
   instance's lambda_max.
 
@@ -56,6 +57,7 @@ import copy
 import math
 import time
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -76,7 +78,7 @@ CURVATURE_RTOL = 1e-12
 
 # a triangular factor whose smallest diagonal entry falls below this share of
 # its largest, times its size, marks a rank-deficient penalty map
-RANK_RTOL = np.finfo(float).eps
+TRIANGULAR_RTOL = np.finfo(float).eps
 
 TINY = np.finfo(float).tiny
 
@@ -132,14 +134,6 @@ class GeneralizedInstance:
     def d2(self):
         return self.M2.shape[0]
 
-    @property
-    def p(self):
-        return self.M1.shape[0]
-
-    @property
-    def q(self):
-        return self.M2.shape[1]
-
     def embed(self, theta_mat):
         """Map a d1 x d2 iterate to original p x q coordinates."""
         b = theta_mat
@@ -164,7 +158,7 @@ def _triangular_factor(m, name):
     """R of m = Q R; ValueError unless m has full column rank."""
     r = np.linalg.qr(m, mode="r")
     diag = np.abs(np.diag(r))
-    if r.shape[0] < r.shape[1] or diag.min() <= RANK_RTOL * r.shape[1] * diag.max():
+    if r.shape[0] < r.shape[1] or diag.min() <= TRIANGULAR_RTOL * r.shape[1] * diag.max():
         raise ValueError(f"penalty map {name} is rank deficient")
     return r
 
@@ -240,8 +234,8 @@ def precompute(instance):
 @dataclass(frozen=True)
 class Solution:
     B: np.ndarray          # embedded p x q solution
-    theta: np.ndarray      # (X vec(B) - y) / n
-    objective: float
+    theta: np.ndarray      # the certified residual over n, (X vec(B) - y) / n
+    objective: float       # the certified primal ||r||^2/2n + lambda ||c||_*
     iters: int             # accepted steps
     backtracks: int        # rejected trial steps; iters + backtracks proxes ran
     converged: bool
@@ -258,19 +252,33 @@ def objective_value(instance, theta_mat):
     return fit + instance.lam * nuclear_norm(instance.M1 @ theta_mat @ instance.M2)
 
 
-def _certificate(instance, cache, zc, nuclear):
-    """(relative gap, relative dual infeasibility) at an iterate c given
-    Z vec(c) = zc and ||c||_* = nuclear."""
+class _Certificate(NamedTuple):
+    """A check's data at an iterate c: r = Z vec(c) - y, the fit ||r||^2/2n,
+    the dual value D at r/(n lambda) scaled to feasibility, ||y||^2/2n,
+    lambda and the dual infeasibility relative to lambda_max."""
+
+    residual: np.ndarray
+    fit: float
+    dual: float
+    y_sq: float
+    lam: float
+    infeasibility: float
+
+    def gap(self, nuclear):
+        """P - D relative to ||y||^2/2n, given ||c||_* = nuclear."""
+        return (self.fit + self.lam * nuclear - self.dual) / max(self.y_sq, TINY)
+
+
+def _certificate(instance, cache, zc):
+    """The _Certificate of the iterate c with Z vec(c) = zc."""
     n, lam, y = instance.n, instance.lam, instance.y
     r = zc - y
     dual_norm = spectral_norm(unvec(cache.Z.T @ r, cache.d1, cache.d2)) / n
-    primal = 0.5 / n * float(r @ r) + lam * nuclear
     shifted = (r / max(1.0, dual_norm / lam) + y) / (n * lam)
     y_sq = 0.5 / n * float(y @ y)
     dual = y_sq - 0.5 * n * lam * lam * float(shifted @ shifted)
-    gap = (primal - dual) / max(y_sq, TINY)
     infeasibility = max(dual_norm - lam, 0.0) / max(cache.lambda_max, TINY)
-    return gap, infeasibility
+    return _Certificate(r, 0.5 / n * float(r @ r), dual, y_sq, lam, infeasibility)
 
 
 def _next_momentum(t, ratio):
@@ -289,8 +297,8 @@ def solve(instance, config=None, cache=None, warm_start=None):
     cache = cache or precompute(instance)
     t0 = time.perf_counter()
 
-    def certified(gap, infeasibility):
-        return gap <= config.tol_primal and infeasibility <= config.tol_dual
+    def certified(cert, nuclear):
+        return cert.gap(nuclear) <= config.tol_primal and cert.infeasibility <= config.tol_dual
 
     n, lam, y = instance.n, instance.lam, instance.y
     d1, d2 = cache.d1, cache.d2
@@ -361,30 +369,30 @@ def solve(instance, config=None, cache=None, warm_start=None):
 
         # ||c||_* from the prox's own spectrum; a pass is confirmed with the
         # singular values of c itself, so every accepted gap is exact
-        if it % CHECK_EVERY == 0 and certified(*_certificate(
-                instance, cache, zc,
-                nuclear_norm(c) if spectrum is None else float(spectrum.sum()))):
-            gap, infeasibility = _certificate(instance, cache, zc, nuclear_norm(c))
-            if certified(gap, infeasibility):
+        if it % CHECK_EVERY == 0:
+            certificate = _certificate(instance, cache, zc)
+            estimate = nuclear_norm(c) if spectrum is None else float(spectrum.sum())
+            if certified(certificate, estimate) and certified(
+                    certificate, nuclear := nuclear_norm(c)):
                 converged = True
                 break
 
     if not converged:
         # the returned iterate (cap, or no iterate), certified exactly
-        gap, infeasibility = _certificate(instance, cache, zc, nuclear_norm(c))
-        converged = certified(gap, infeasibility)
+        certificate, nuclear = _certificate(instance, cache, zc), nuclear_norm(c)
+        converged = certified(certificate, nuclear)
 
     theta_mat = cache.solve(c.T)
     elapsed_ms = (time.perf_counter() - t0) * 1e3
     return Solution(
         B=instance.embed(theta_mat),
-        theta=(instance.stacked @ vec(theta_mat) - y) / n,
-        objective=objective_value(instance, theta_mat),
+        theta=certificate.residual / n,
+        objective=certificate.fit + lam * nuclear,
         iters=it,
         backtracks=backtracks,
         converged=converged,
         solve_time_ms=elapsed_ms,
-        gap=float(gap),
-        dual_infeasibility=float(infeasibility),
+        gap=certificate.gap(nuclear),
+        dual_infeasibility=certificate.infeasibility,
         final_state=theta_mat,
     )

@@ -340,8 +340,8 @@ def bench(specs, k=None, ratio=0.616, reps=10, config=None, gamma=1.0, epsilon=N
             seeded = replace(spec, seed=spec.seed + rep)
             problem, _ = gen_shape(seeded) if is_shape else gen_gaussian(seeded)
             weights, schedule, gram = prepare(problem, gamma=gamma, k=k_spec, ratio=ratio)
-            result = compare(problem, weights, schedule, config, reps=1,
-                             epsilon=epsilon, warm_start=warm_start, gram=gram)
+            result = compare(problem, weights, schedule, config, epsilon=epsilon,
+                             warm_start=warm_start, gram=gram)
             t_full.append(result.t_full_ms[0])
             t_screened.append(result.t_screened_ms[0])
             speedups.append(result.speedups[0])

@@ -174,8 +174,7 @@ def _run_path(mode, problem, weights, schedule, config, warm_start, epsilon=None
             t0 = time.perf_counter()
             context = ScreenContext(
                 lambda0=lam_prev, lam=lam, theta_prev=theta_prev,
-                problem=problem, gram=gram, U=bases.U_full, V=bases.V_full,
-                weights=weights, b_ls=b_ls,
+                problem=problem, gram=gram, U=bases.U_full, V=bases.V_full, b_ls=b_ls,
             )
             outcome = screen(context, epsilon=epsilon)
             screened = (int(outcome.screened_rows.size), int(outcome.screened_cols.size))
@@ -217,36 +216,28 @@ SAFETY_OBJECTIVE_RTOL = 1e-4
 class CompareResult:
     full: PathResult
     screened: PathResult
-    t_full_ms: np.ndarray        # per repetition
+    t_full_ms: np.ndarray        # one entry: the paths run once
     t_screened_ms: np.ndarray
     speedups: np.ndarray
-    obj_mismatch: np.ndarray     # per lambda, relative, from the last rep
+    obj_mismatch: np.ndarray     # per lambda, relative
     frob_dist: np.ndarray        # per lambda, scaled Frobenius distance
     safety_ok: bool
     converged: bool
 
 
-def compare(problem, weights, schedule, config=None, reps=1, epsilon=None,
+def compare(problem, weights, schedule, config=None, epsilon=None,
             warm_start=False, gram=None):
-    """Run both paths reps times on the same problem and compare them.
+    """Run both paths once on the same problem and compare them.
 
     Objective mismatches above SAFETY_OBJECTIVE_RTOL (relative) mark the
     comparison as a safety violation; they are reported, never dropped.
     warm_start applies to both paths alike so the timings stay comparable.
-    gram, a GramFactor of the problem, goes to every screened path; None
-    has each build its own.
+    gram, a GramFactor of the problem, goes to the screened path; None has
+    it build its own.
     """
-    config = config or AdmmConfig()
-    t_full, t_screened = [], []
-    full = screened = None
-    for _ in range(max(1, reps)):
-        full = full_path(problem, weights, schedule, config, warm_start=warm_start)
-        screened = screened_path(problem, weights, schedule, config,
-                                 epsilon=epsilon, gram=gram, warm_start=warm_start)
-        t_full.append(full.total_ms)
-        t_screened.append(screened.total_ms)
-    t_full = np.array(t_full)
-    t_screened = np.array(t_screened)
+    full = full_path(problem, weights, schedule, config, warm_start=warm_start)
+    screened = screened_path(problem, weights, schedule, config,
+                             epsilon=epsilon, gram=gram, warm_start=warm_start)
 
     obj_f = full.objectives()
     obj_s = screened.objectives()
@@ -262,9 +253,9 @@ def compare(problem, weights, schedule, config=None, reps=1, epsilon=None,
     return CompareResult(
         full=full,
         screened=screened,
-        t_full_ms=t_full,
-        t_screened_ms=t_screened,
-        speedups=t_full / t_screened,
+        t_full_ms=np.array([full.total_ms]),
+        t_screened_ms=np.array([screened.total_ms]),
+        speedups=np.array([full.total_ms / screened.total_ms]),
         obj_mismatch=obj_mismatch,
         frob_dist=frob,
         safety_ok=bool(np.all(obj_mismatch <= SAFETY_OBJECTIVE_RTOL)),

@@ -62,7 +62,6 @@ class ScreenContext:
     gram: object             # GramFactor of the problem
     U: np.ndarray            # p x p left singular basis of B(lambda0)
     V: np.ndarray            # q x q right singular basis of B(lambda0)
-    weights: object
     b_ls: np.ndarray | None = None   # the minimum-norm pilot; None computes it
 
     def pilot(self):

@@ -8,6 +8,7 @@ from tracereg import (
     AdmmConfig,
     GeneralizedInstance,
     ShapeSpec,
+    dual_feasibility_gauge,
     full_path,
     gen_shape,
     lambda_max,
@@ -202,6 +203,42 @@ def test_certificate_confirms_the_prox_spectrum(monkeypatch):
         assert abs(sol.gap - own) <= 1e-9 + 1e-6 * own
 
 
+def test_solution_reads_the_certificate_that_accepted_it(monkeypatch):
+    # each check computes Z^T r and its eigensolve once, a pass is confirmed
+    # on the same certificate, and the objective, theta and gap come from it
+    # without a second evaluation in B coordinates
+    problem, weights, lam = small_setup(30)
+    inst = make_instance(problem, weights, lam)
+    calls = dict.fromkeys(("_certificate", "objective_value"), 0)
+
+    def counted(name):
+        original = getattr(tracereg.admm, name)
+
+        def spy(*args):
+            calls[name] += 1
+            return original(*args)
+        return spy
+
+    with monkeypatch.context() as patch:
+        for name in calls:
+            patch.setattr(tracereg.admm, name, counted(name))
+        sol = solve(inst)
+    assert sol.converged and sol.iters % tracereg.admm.CHECK_EVERY == 0
+    assert calls == {"_certificate": sol.iters // tracereg.admm.CHECK_EVERY,
+                     "objective_value": 0}
+
+    n, y = problem.n, problem.y
+    expected = (problem.stacked @ vec(sol.B) - y) / n
+    assert np.linalg.norm(sol.theta - expected) <= 1e-12 * np.linalg.norm(expected)
+    # the dual at theta/lambda scaled to feasibility, in original coordinates
+    feasible = sol.theta / lam
+    feasible /= max(1.0, dual_feasibility_gauge(feasible, problem, weights))
+    shifted = feasible + y / (n * lam)
+    y_sq = y @ y / (2 * n)
+    dual = y_sq - 0.5 * n * lam**2 * (shifted @ shifted)
+    assert abs(sol.gap * y_sq - (sol.objective - dual)) <= 1e-12 * y_sq
+
+
 def test_solve_objective_eventually_decreases():
     problem, weights, lam = small_setup(30)
     inst = make_instance(problem, weights, lam)
@@ -222,25 +259,6 @@ def test_solve_reports_non_convergence():
     assert not sol.converged
     assert sol.iters == 3
     assert sol.gap > 1e-6 or sol.dual_infeasibility > 1e-6
-
-
-def test_warm_start_reduces_total_iterations():
-    problem, weights, _ = small_setup(32)
-    lmax = lambda_max(problem, weights)
-    lams = [0.2 * lmax, 0.25 * lmax, 0.3 * lmax, 0.35 * lmax]
-    base = make_instance(problem, weights, lams[0])
-    cache = precompute(base)
-    # tight enough that the solves outlast a few certificate checks
-    config = AdmmConfig(tol_primal=1e-10, tol_dual=1e-10)
-
-    cold = [solve(base.at_lambda(l), config, cache=cache).iters for l in lams]
-    state = None
-    warm = []
-    for l in lams:
-        sol = solve(base.at_lambda(l), config, cache=cache, warm_start=state)
-        warm.append(sol.iters)
-        state = sol.final_state
-    assert sum(warm) < sum(cold)
 
 
 def test_rotation_equivalence():
@@ -276,9 +294,13 @@ def test_cross32_n10_certified_zero_and_path():
     assert sol.converged
     assert not np.any(sol.B)
 
-    result = full_path(problem, weights, schedule)
-    assert all(r.converged for r in result.records)
-    assert all(r.gap <= 1e-6 for r in result.records)
+    cold = full_path(problem, weights, schedule)
+    warm = full_path(problem, weights, schedule, warm_start=True)
+    for result in (cold, warm):
+        assert all(r.converged for r in result.records)
+        assert all(r.gap <= 1e-6 for r in result.records)
+    # each level starts from the one above it: 420 against 720 iterations
+    assert sum(r.iters for r in warm.records) < sum(r.iters for r in cold.records)
 
 
 def test_accepted_steps_satisfy_the_quadratic_bound(monkeypatch):

@@ -15,7 +15,6 @@ from tracereg import (
     ScreenScalars,
     build_problem,
     compute_scalars,
-    compute_weights,
     f_opt,
     full_path,
     lambda_max,
@@ -50,25 +49,25 @@ def pipeline_context(seed, p=4, q=6, n=12, r0=0.35, r1=0.6):
     u, _, vt = np.linalg.svd(sol0.B, full_matrices=True)
     context = ScreenContext(
         lambda0=lam0, lam=lam, theta_prev=theta0,
-        problem=problem, gram=gram, U=u, V=vt.T, weights=weights,
+        problem=problem, gram=gram, U=u, V=vt.T,
     )
     return context, problem, weights
 
 
-def restricted_level(context, outcome):
+def restricted_level(context, weights, outcome):
     """The level's instance and the path's cache restricted to the kept directions."""
-    instance = make_instance(context.problem, context.weights, context.lam)
+    instance = make_instance(context.problem, weights, context.lam)
     cache = precompute(instance).restrict(
         instance, context.U[:, outcome.kept_rows], context.V[:, outcome.kept_cols])
     return instance, cache
 
 
-def identity_context(problem, weights, gram, lam0, lam, theta=None):
+def identity_context(problem, gram, lam0, lam, theta=None):
     return ScreenContext(
         lambda0=lam0, lam=lam,
         theta_prev=np.zeros(problem.n) if theta is None else theta,
         problem=problem, gram=gram,
-        U=np.eye(problem.p), V=np.eye(problem.q), weights=weights,
+        U=np.eye(problem.p), V=np.eye(problem.q),
     )
 
 
@@ -121,9 +120,9 @@ def arc_maximum(gamma, scalars):
 
 def test_scalars_zero_theta():
     problem, _ = gen_gaussian(GaussianSpec(p=2, q=3, n=4, seed=5))
-    weights, _, gram = prepare(problem, k=2)
+    _, _, gram = prepare(problem, k=2)
     lam0, lam = 0.4, 0.9
-    s = compute_scalars(identity_context(problem, weights, gram, lam0, lam))
+    s = compute_scalars(identity_context(problem, gram, lam0, lam))
     n, y = problem.n, problem.y
     assert s.b == 0.0
     np.testing.assert_allclose(s.alpha, y / (n * lam0), rtol=1e-15)
@@ -138,9 +137,8 @@ def test_scalars_zero_response_degenerates_to_sphere():
     X = rng.standard_normal((4, 2, 3))
     problem = build_problem(X, np.zeros(4))
     gram = GramFactor(problem)
-    weights = compute_weights(min_norm_least_squares(problem, gram), 1.0, problem.n)
     t = rng.standard_normal(4)
-    s = compute_scalars(identity_context(problem, weights, gram, 0.4, 0.9, theta=t))
+    s = compute_scalars(identity_context(problem, gram, 0.4, 0.9, theta=t))
     tt = float(t @ t)
     np.testing.assert_allclose(s.alpha, t, rtol=1e-15)
     assert s.b == pytest.approx(tt, rel=1e-15)
@@ -192,7 +190,7 @@ def test_context_validation():
     problem, _ = gen_gaussian(GaussianSpec(p=2, q=3, n=4, seed=5))
     weights, _, gram = prepare(problem, k=2)
     ok = dict(theta_prev=np.zeros(4), problem=problem, gram=gram,
-              U=np.eye(2), V=np.eye(3), weights=weights)
+              U=np.eye(2), V=np.eye(3))
     for lam0, lam in ((0.0, 1.0), (-1.0, 1.0), (1.0, 1.0), (1.0, 0.0)):
         with pytest.raises(ValueError, match="need positive lambda0 != lam"):
             ScreenContext(lambda0=lam0, lam=lam, **ok)
@@ -318,13 +316,13 @@ def orthogonal_corner_problem(seed=8, n=3):
     X = rng.standard_normal((n, 2, 2))
     X[:, 0, 0] = 0.0
     problem = build_problem(X, rng.standard_normal(n))
-    weights, _, gram = prepare(problem, k=2)
-    return problem, weights, gram
+    _, _, gram = prepare(problem, k=2)
+    return problem, gram
 
 
 def test_gamma_for_orthogonal_pair_is_zero():
-    problem, weights, gram = orthogonal_corner_problem()
-    context = identity_context(problem, weights, gram, 0.3, 0.8)
+    problem, gram = orthogonal_corner_problem()
+    context = identity_context(problem, gram, 0.3, 0.8)
     s = compute_scalars(context)
     np.testing.assert_array_equal(gamma_for(context, s, 0, 0), np.zeros(problem.n))
 
@@ -335,9 +333,9 @@ def test_gamma_for_single_unit_design():
     X = np.zeros((1, 2, 3))
     X[0, 0, 1] = 1.0
     problem = build_problem(X, np.array([0.7]))
-    weights, _, gram = prepare(problem, k=2)
+    _, _, gram = prepare(problem, k=2)
     lam = 0.9
-    context = identity_context(problem, weights, gram, 0.45, lam)
+    context = identity_context(problem, gram, 0.45, lam)
     s = compute_scalars(context)
     gamma = gamma_for(context, s, 0, 1)
     assert gamma.shape == (1,)
@@ -345,8 +343,8 @@ def test_gamma_for_single_unit_design():
 
 
 def test_p_values_vanish_for_orthogonal_pair():
-    problem, weights, gram = orthogonal_corner_problem()
-    context = identity_context(problem, weights, gram, 0.3, 0.8)
+    problem, gram = orthogonal_corner_problem()
+    context = identity_context(problem, gram, 0.3, 0.8)
     s = compute_scalars(context)
     p1, p2 = p_values(context, s, 0, 0)
     assert p1 == 0.0 and p2 == 0.0
@@ -407,8 +405,7 @@ def test_path_bound_covers_the_converged_next_solution(seed):
         bases = svd(prev.solution.B, full=True, rtol=RANK_RTOL)
         context = ScreenContext(
             lambda0=prev.lam, lam=cur.lam, theta_prev=prev.theta,
-            problem=problem, gram=gram, U=bases.U_full, V=bases.V_full,
-            weights=weights, b_ls=b_ls,
+            problem=problem, gram=gram, U=bases.U_full, V=bases.V_full, b_ls=b_ls,
         )
         w = screen(context).W
         excess = np.abs(bases.U_full.T @ cur.solution.B @ bases.V_full) - w
@@ -449,8 +446,7 @@ def test_descending_bound_covers_the_converged_next_solution(p, q, n, seed):
     for cur in records[::-1]:
         context = ScreenContext(
             lambda0=lam0, lam=cur.lam, theta_prev=theta0,
-            problem=problem, gram=gram, U=bases.U_full, V=bases.V_full,
-            weights=weights, b_ls=b_ls,
+            problem=problem, gram=gram, U=bases.U_full, V=bases.V_full, b_ls=b_ls,
         )
         w = screen(context).W
         excess = np.abs(bases.U_full.T @ cur.solution.B @ bases.V_full) - w
@@ -507,7 +503,7 @@ def test_screen_default_epsilon():
 
 
 def test_screen_partition_and_threshold_rule():
-    context, problem, _ = pipeline_context(3)
+    context, problem, weights = pipeline_context(3)
     outcome = screen(context, epsilon=float(np.median(outcome_w(context))))
     w = outcome.W
     row_peak = np.max(np.abs(w), axis=1)
@@ -520,7 +516,7 @@ def test_screen_partition_and_threshold_rule():
     cols = np.sort(np.concatenate([outcome.screened_cols, outcome.kept_cols]))
     np.testing.assert_array_equal(rows, np.arange(problem.p))
     np.testing.assert_array_equal(cols, np.arange(problem.q))
-    _, cache = restricted_level(context, outcome)
+    _, cache = restricted_level(context, weights, outcome)
     assert (cache.d1, cache.d2) == (outcome.kept_rows.size, outcome.kept_cols.size)
     assert cache.Z.shape == (
         problem.n, outcome.kept_rows.size * outcome.kept_cols.size
@@ -546,10 +542,10 @@ def outcome_w(context):
 
 
 def test_screen_everything_gives_empty_problem_and_zero_solution():
-    context, problem, _ = pipeline_context(4)
+    context, problem, weights = pipeline_context(4)
     outcome = screen(context, epsilon=np.inf)
     assert outcome.kept_rows.size == 0 and outcome.kept_cols.size == 0
-    instance, cache = restricted_level(context, outcome)
+    instance, cache = restricted_level(context, weights, outcome)
     assert cache.d1 == 0 and cache.d2 == 0
     assert cache.Z.shape == (problem.n, 0)
     assert cache.lipschitz == cache.lambda_max == 0.0
@@ -563,7 +559,7 @@ def test_screened_solve_matches_full_solve():
         context, problem, weights = pipeline_context(seed, p=3, q=5, n=10)
         outcome = screen(context)
         full = solve(make_instance(problem, weights, context.lam), TIGHT)
-        instance, cache = restricted_level(context, outcome)
+        instance, cache = restricted_level(context, weights, outcome)
         reduced = solve(instance, TIGHT, cache=cache)
         assert full.converged and reduced.converged
         scale = 1.0 + abs(full.objective)
@@ -591,7 +587,7 @@ def test_restricted_solve_matches_the_rotated_reduced_instance():
                 lam=context.lam, left=u, right=v,
             )
             expected = solve(reference, TIGHT)
-            instance, cache = restricted_level(context, outcome)
+            instance, cache = restricted_level(context, weights, outcome)
             got = solve(instance, TIGHT, cache=cache)
             assert got.converged and expected.converged
             assert got.iters == expected.iters
