@@ -80,9 +80,16 @@ def _emit(payload, out):
 
 
 def cmd_generate(args):
+    """Write a synthetic problem: its manifest and .npy data, b_true.csv and meta.json.
+
+    problem_y.csv and problem_X.csv are text copies of the .npy data, at 17
+    significant digits, for reading by eye; no command reads them.
+    """
     spec = _problem_spec(args)
     problem, b_true = (gen_shape if args.kind == "shape" else gen_gaussian)(spec)
     manifest = save_problem(problem, args.out)
+    np.savetxt(f"{args.out}/problem_y.csv", problem.y, fmt="%.17g")
+    np.savetxt(f"{args.out}/problem_X.csv", problem.stacked, fmt="%.17g", delimiter=",")
     np.savetxt(f"{args.out}/b_true.csv", b_true, fmt="%.17g", delimiter=",")
     meta = dataclasses.asdict(spec)
     meta["kind"] = args.kind

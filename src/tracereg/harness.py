@@ -166,15 +166,15 @@ def gen_shape(spec):
 
 
 def save_problem(problem, out_dir, stem="problem"):
-    """Write manifest JSON plus y/X CSV files; returns the manifest path.
+    """Write manifest JSON plus y/X .npy files; returns the manifest path.
 
-    Floats are written with 17 significant digits so loading reproduces
-    the arrays bit for bit.
+    The files hold y (shape (n,)) and the stacked n x pq design as float64
+    in numpy's binary format, so loading reproduces the arrays bit for bit.
     """
     os.makedirs(out_dir, exist_ok=True)
-    y_name, x_name = f"{stem}_y.csv", f"{stem}_X.csv"
-    np.savetxt(os.path.join(out_dir, y_name), problem.y, fmt="%.17g")
-    np.savetxt(os.path.join(out_dir, x_name), problem.stacked, fmt="%.17g", delimiter=",")
+    y_name, x_name = f"{stem}_y.npy", f"{stem}_X.npy"
+    np.save(os.path.join(out_dir, y_name), problem.y, allow_pickle=False)
+    np.save(os.path.join(out_dir, x_name), problem.stacked, allow_pickle=False)
     manifest = {
         "n": problem.n, "p": problem.p, "q": problem.q,
         "y": y_name, "X": x_name,
@@ -228,12 +228,38 @@ def _read_csv_matrix(path, expect_cols):
     return data
 
 
+def _read_npy(path, cols):
+    """One .npy data file as native float64: a vector if cols is None, else cols columns.
+
+    The file goes to the .npy reader np.load calls, not to np.load, which
+    raises EOFError on an empty file and calls a text file pickled data.
+    Real integer and float arrays of either byte order are converted; any
+    other array, and one of another shape, is refused with a message
+    naming the file.
+    """
+    with open(path, "rb") as fh:
+        try:
+            data = np.lib.format.read_array(fh, allow_pickle=False)
+        except (ValueError, MemoryError) as err:  # a header's shape may not fit in memory
+            raise ValueError(f"{path}: not a readable .npy array: {err}") from None
+    if data.dtype.kind not in "iuf":
+        raise ValueError(f"{path}: holds {data.dtype} values, expected real numbers")
+    tail = () if cols is None else (cols,)
+    if data.ndim != 1 + len(tail) or data.shape[1:] != tail:
+        expected = "a vector" if cols is None else f"a matrix of {cols} columns"
+        raise ValueError(f"{path}: array of shape {data.shape}, expected {expected}")
+    return data.astype(np.float64, copy=False)
+
+
 def load_problem(manifest_path):
     """Load a problem from a manifest written by save_problem.
 
-    The data files are parsed by numpy's C reader; a file it refuses is
-    parsed again line by line, so malformed files still fail with the row
-    and column of the first bad value. The on-disk format is unchanged.
+    Each data file is read by its suffix: a .npy file by numpy's binary
+    reader, which save_problem writes; any other file as CSV by numpy's C
+    reader, so hand-written and older CSV problem directories still load.
+    A CSV file the C reader refuses is parsed again line by line, so
+    malformed files still fail with the row and column of the first bad
+    value.
     """
     try:
         with open(manifest_path) as fh:
@@ -249,16 +275,18 @@ def load_problem(manifest_path):
     n, p, q = int(manifest["n"]), int(manifest["p"]), int(manifest["q"])
     base = os.path.dirname(os.path.abspath(manifest_path))
 
-    def resolve(name):
+    def read(name, cols):
         path = name if os.path.isabs(name) else os.path.join(base, name)
         if not os.path.exists(path):
             raise ValueError(f"data file not found: {path}")
-        return path
+        if path.endswith(".npy"):
+            return _read_npy(path, cols)
+        return _read_csv_matrix(path, 1 if cols is None else cols)
 
-    y = _read_csv_matrix(resolve(manifest["y"]), 1).reshape(-1)
+    y = read(manifest["y"], None).reshape(-1)
     if y.shape[0] != n:
         raise ValueError(f"y has {y.shape[0]} rows, manifest says n={n}")
-    stacked = _read_csv_matrix(resolve(manifest["X"]), p * q)
+    stacked = read(manifest["X"], p * q)
     if stacked.shape[0] != n:
         raise ValueError(f"X has {stacked.shape[0]} rows, manifest says n={n}")
     X = stacked.reshape(n, q, p).transpose(0, 2, 1)

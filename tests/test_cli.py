@@ -12,6 +12,7 @@ import pytest
 
 import tracereg.cli
 import tracereg.model
+from tracereg import load_problem
 from tracereg.cli import (
     EXIT_INPUT,
     EXIT_NO_CONVERGENCE,
@@ -38,8 +39,8 @@ def generate(capsys, out_dir, *extra):
 def test_generate_writes_problem_files(tmp_path, capsys):
     manifest = generate(capsys, tmp_path)
     assert manifest == str(tmp_path / "problem.json")
-    for name in ("problem.json", "problem_y.csv", "problem_X.csv",
-                 "b_true.csv", "meta.json"):
+    for name in ("problem.json", "problem_y.npy", "problem_X.npy", "problem_y.csv",
+                 "problem_X.csv", "b_true.csv", "meta.json"):
         assert (tmp_path / name).exists()
     meta = json.loads((tmp_path / "meta.json").read_text())
     assert meta["kind"] == "gaussian"
@@ -75,6 +76,46 @@ def test_generate_is_deterministic_on_disk(tmp_path, capsys):
     generate(capsys, b)
     for name in ("problem.json", "problem_y.csv", "problem_X.csv", "b_true.csv"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def strip_times(payload):
+    """A command's payload without its wall-clock fields."""
+    if isinstance(payload, dict):
+        return {k: strip_times(v) for k, v in payload.items()
+                if not k.endswith("_ms") and k != "speedup"}
+    if isinstance(payload, list):
+        return [strip_times(v) for v in payload]
+    return payload
+
+
+def test_csv_manifest_of_the_text_copies_gives_the_same_results(tmp_path, capsys):
+    # a manifest in the older layout, naming the CSV copies generate writes,
+    # loads the same bits and gives the same results as the .npy manifest
+    manifest = generate(capsys, tmp_path)
+    old = tmp_path / "old.json"
+    layout = json.loads((tmp_path / "problem.json").read_text())
+    old.write_text(json.dumps(dict(layout, y="problem_y.csv", X="problem_X.csv")))
+    npy_problem, csv_problem = load_problem(manifest), load_problem(old)
+    for name in ("y", "stacked", "X"):
+        assert getattr(csv_problem, name).tobytes() == getattr(npy_problem, name).tobytes()
+
+    for argv in (["solve"], ["path", "--mode", "both", "--k", "3"]):
+        payloads = []
+        for path in (manifest, old):
+            code, out, _ = run_cli(capsys, *argv, "--manifest", str(path))
+            assert code == EXIT_OK
+            payloads.append(strip_times(json.loads(out)))
+        assert payloads[0] == payloads[1]
+
+
+@pytest.mark.parametrize("content", [b"", b"1,2\n3,4\n"], ids=["empty", "text"])
+def test_solve_bad_npy_file_is_input_error(tmp_path, capsys, content):
+    manifest = generate(capsys, tmp_path)
+    (tmp_path / "problem_X.npy").write_bytes(content)
+    code, out, err = run_cli(capsys, "solve", "--manifest", manifest)
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err.startswith(f"error: {tmp_path / 'problem_X.npy'}: not a readable .npy array")
 
 
 def test_solve_payload(tmp_path, capsys):

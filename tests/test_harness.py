@@ -1,6 +1,9 @@
 """Generators, serialization, the bench loop and report rendering."""
 
+import io
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -165,8 +168,12 @@ def test_load_errors(tmp_path):
 
 def test_load_reports_malformed_cells(tmp_path):
     problem, _ = gen_gaussian(GaussianSpec(p=2, q=2, n=3, seed=8))
-    manifest = save_problem(problem, tmp_path, stem="cells")
+    np.savetxt(tmp_path / "cells_y.csv", problem.y, fmt="%.17g")
     x_path = tmp_path / "cells_X.csv"
+    np.savetxt(x_path, problem.stacked, fmt="%.17g", delimiter=",")
+    manifest = tmp_path / "cells.json"
+    manifest.write_text(json.dumps({"n": 3, "p": 2, "q": 2, "y": "cells_y.csv",
+                                    "X": "cells_X.csv"}))
     rows = x_path.read_text().strip().split("\n")
 
     truncated = rows[:1] + [",".join(rows[1].split(",")[:-1])] + rows[2:]
@@ -178,6 +185,55 @@ def test_load_reports_malformed_cells(tmp_path):
     cells[1] = "abc"
     x_path.write_text("\n".join([",".join(cells)] + rows[1:]) + "\n")
     with pytest.raises(ValueError, match="non-numeric value 'abc' at row 1, column 2"):
+        load_problem(manifest)
+
+
+def npy_bytes(array):
+    buf = io.BytesIO()
+    np.lib.format.write_array(buf, array)
+    return buf.getvalue()
+
+
+def npy_header_claiming(shape):
+    # a float64 header for the given shape, followed by one value
+    buf = io.BytesIO()
+    np.lib.format.write_array_header_1_0(buf, {"descr": "<f8", "fortran_order": False,
+                                               "shape": shape})
+    return buf.getvalue() + bytes(8)
+
+
+BAD_NPY_CASES = {
+    # the data file replaced, its new content, and a phrase of the error after its path
+    "empty": ("X", lambda X, y: b"", "not a readable .npy array"),
+    "truncated-data": ("X", lambda X, y: npy_bytes(X)[:-8], "not a readable .npy array"),
+    "truncated-header": ("y", lambda X, y: npy_bytes(y)[:20], "not a readable .npy array"),
+    # more values than memory holds: numpy cannot even allocate the array
+    "header-past-memory": ("y", lambda X, y: npy_header_claiming((10**13,)),
+                           "not a readable .npy array"),
+    "text": ("X", lambda X, y: b"1,2\n3,4\n", "magic string is not correct"),
+    "object": ("y", lambda X, y: y.astype(object), "not a readable .npy array"),
+    "complex": ("X", lambda X, y: X + 1j, "holds complex128 values"),
+    "bool": ("y", lambda X, y: y > 0, "holds bool values"),
+    "string": ("y", lambda X, y: y.astype(str), "holds <U"),
+    "y-as-column": ("y", lambda X, y: y[:, None], r"shape \(6, 1\), expected a vector"),
+    "X-as-vector": ("X", lambda X, y: X.ravel(), r"shape \(72,\), expected a matrix of 12"),
+    "X-wrong-columns": ("X", lambda X, y: X[:, :-1], r"shape \(6, 11\), expected a matrix of 12"),
+    "X-scalar": ("X", lambda X, y: np.float64(1.0), r"shape \(\), expected a matrix of 12"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_NPY_CASES.values(), ids=BAD_NPY_CASES.keys())
+def test_load_refuses_bad_npy_files(tmp_path, case):
+    key, content, phrase = case
+    problem, _ = gen_gaussian(GaussianSpec(p=3, q=4, n=6, seed=2))
+    manifest = save_problem(problem, tmp_path)
+    path = tmp_path / f"problem_{key}.npy"
+    data = content(problem.stacked, problem.y)
+    if isinstance(data, bytes):
+        path.write_bytes(data)
+    else:
+        np.save(path, data, allow_pickle=True)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*{phrase}"):
         load_problem(manifest)
 
 
@@ -240,12 +296,39 @@ def test_load_reads_saved_files_without_the_line_parser(tmp_path, monkeypatch):
     problem, _ = gen_gaussian(GaussianSpec(p=3, q=4, n=6, seed=2))
     manifest = save_problem(problem, tmp_path)
 
-    def refuse(path, expect_cols):
-        raise AssertionError(f"line parser called on {path}")
+    def refuse(path, *args, **kwargs):
+        raise AssertionError(f"CSV reader called on {path}")
 
     monkeypatch.setattr(tracereg.harness, "_parse_csv_matrix", refuse)
+    monkeypatch.setattr(np, "loadtxt", refuse)
     loaded = load_problem(manifest)
     np.testing.assert_array_equal(loaded.stacked, problem.stacked)
+
+
+def test_save_writes_npy_files_named_in_the_manifest(tmp_path):
+    problem, _ = gen_gaussian(GaussianSpec(p=3, q=4, n=6, seed=2))
+    manifest = json.loads(Path(save_problem(problem, tmp_path, stem="bin")).read_text())
+    assert manifest == {"n": 6, "p": 3, "q": 4, "y": "bin_y.npy", "X": "bin_X.npy"}
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["bin.json", "bin_X.npy", "bin_y.npy"]
+    y, stacked = np.load(tmp_path / "bin_y.npy"), np.load(tmp_path / "bin_X.npy")
+    assert (y.dtype, y.shape) == (np.dtype(float), (6,))
+    assert (stacked.dtype, stacked.shape) == (np.dtype(float), (6, 12))
+
+
+def test_load_converts_other_byte_orders_and_integers(tmp_path):
+    problem, _ = gen_gaussian(GaussianSpec(p=3, q=4, n=6, seed=2))
+    manifest = save_problem(problem, tmp_path)
+    np.save(tmp_path / "problem_y.npy", problem.y.astype(">f8"))
+    np.save(tmp_path / "problem_X.npy", problem.stacked.astype(">f8"))
+    loaded = load_problem(manifest)
+    assert loaded.y.dtype == loaded.stacked.dtype == np.dtype(float)
+    assert loaded.y.tobytes() == problem.y.tobytes()
+    assert loaded.stacked.tobytes() == problem.stacked.tobytes()
+    assert loaded.X.tobytes() == problem.X.tobytes()
+
+    counts = np.arange(6, dtype=">i4")
+    np.save(tmp_path / "problem_y.npy", counts)
+    np.testing.assert_array_equal(load_problem(manifest).y, counts.astype(float))
 
 
 # ------------------------------------------------------------- bench loop
