@@ -1,7 +1,8 @@
 """Walk the geometric penalty grid and watch the solution rank grow.
 
-The grid runs bottom-up from lambda_max * ratio^K to lambda_max * ratio,
-warm starting each solve from the previous one; the weighted nuclear
+The path solves the grid top-down, from lambda_max * ratio to
+lambda_max * ratio^K, warm starting each level from the solutions of the
+levels above it, and prints it in ascending lambda; the weighted nuclear
 norm of the solution shrinks as the penalty grows.
 """
 

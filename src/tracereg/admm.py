@@ -26,10 +26,11 @@ is known, with t_{k+1} taken at the first trial's ratio. (Building x anew
 for each trial, as Scheinberg et al. do, took 10.5 % more prox evaluations
 on the benchmark paths walked in ascending lambda.) max_iter counts accepted
 steps; Solution.backtracks counts the rejected trials. On the benchmark's
-warm full paths, walked from lambda_max down, the prox count falls from
-4 455 / 2 650 / 3 315 (Gaussian 15 x 45, n = 30, seeds 0-2), 670 and 1 220
-(cross 32 x 32, n = 10 and 100) at the fixed step 1/L to 3 612 / 1 890 /
-2 186, 432 and 835, every level certified.
+warm full paths, walked from lambda_max down with each level started from
+path.extrapolate, the prox count falls from 1 715 / 1 330 / 1 555
+(Gaussian 15 x 45, n = 30, seeds 0-2), 385 and 1 150 (cross 32 x 32,
+n = 10 and 100) at the fixed step 1/L to 1 239 / 917 / 1 068, 295 and 798,
+every level certified.
 
 The iterate is held transposed so that vec is a view, and the loop updates
 preallocated buffers in place. Every CHECK_EVERY iterations _certificate

@@ -13,6 +13,13 @@ be solved exactly as the full path solves it. Timing totals separate
 setup, solver and screening work so the two paths can be compared
 honestly; weight construction is shared preprocessing and excluded from
 both.
+
+A warm path starts each level from the quadratic in lambda through the
+solutions of the three levels above it (fewer above: their secant, their
+one solution, or B = 0). On the benchmark's warm full paths that cuts the
+prox evaluations from 3 612 / 1 890 / 2 186 (Gaussian 15 x 45, n = 30,
+seeds 0-2), 432 and 835 (cross 32 x 32, n = 10 and 100) with the last
+solution as start to 1 239 / 917 / 1 068, 295 and 798.
 """
 
 from __future__ import annotations
@@ -30,7 +37,11 @@ from .screen import ScreenContext, screen
 
 @dataclass(frozen=True)
 class LambdaSchedule:
-    """Ascending geometric grid lambda_max * ratio^m, m = K..1."""
+    """Ascending geometric grid lambda_max * ratio^m, m = K..1.
+
+    Explicit values replace the grid; they must be k finite, positive and
+    strictly ascending lambdas.
+    """
 
     lambda_max: float
     k: int
@@ -46,8 +57,17 @@ class LambdaSchedule:
             raise ValueError(f"ratio must be in (0, 1), got {self.ratio}")
         if self.values is None:
             vals = self.lambda_max * self.ratio ** np.arange(self.k, 0, -1, dtype=float)
-            object.__setattr__(self, "values", vals)
-        self.values.flags.writeable = False
+        else:
+            vals = np.array(self.values, dtype=float)
+            if vals.shape != (self.k,):
+                raise ValueError(
+                    f"values must hold k={self.k} lambdas, got shape {vals.shape}")
+            if not (np.all(np.isfinite(vals)) and np.all(vals > 0)
+                    and np.all(np.diff(vals) > 0)):
+                raise ValueError(
+                    f"values must be finite, positive and strictly ascending, got {vals}")
+        vals.flags.writeable = False
+        object.__setattr__(self, "values", vals)
 
 
 # singular values of B below this share of its largest do not count to its rank
@@ -58,6 +78,32 @@ def numerical_rank(b):
     """Rank of B: its singular values above RANK_RTOL times the largest."""
     s = singular_values(b)
     return int(np.sum(s > RANK_RTOL * s[0]))
+
+
+# a warm level starts from the polynomial in lambda through the solutions of
+# the last PREDICTOR_POINTS levels above it. Prox evaluations per warm full
+# path with 1 / 2 / 3 / 4 points (constant, secant, quadratic, cubic):
+# Gaussian 15 x 45 n = 30 seed 0 3 612 / 1 616 / 1 239 / 1 163, seed 1
+# 1 890 / 1 159 / 917 / 901, seed 2 2 186 / 1 410 / 1 068 / 957; cross32
+# n = 10 432 / 330 / 295 / 260 and n = 100 835 / 801 / 798 / 815. Over 15
+# probed problems the quadratic beat the constant on all, and the cubic lost
+# to it on 8 (Gaussian 15 x 45 seeds 3-5 and n = 100, 40 x 20, 35 x 30, and
+# cross 32 x 32 and 64 x 64 at n = 100).
+PREDICTOR_POINTS = 3
+
+
+def extrapolate(levels, lam):
+    """The Lagrange polynomial in lambda through levels' (lambda, B), at lam.
+
+    None for no levels, the one B for one level: a path's first solved
+    level starts from B = 0, its second from the first one's solution.
+    """
+    if not levels:
+        return None
+    lams = [lam_j for lam_j, _ in levels]
+    return sum(
+        np.prod([(lam - lam_m) / (lam_j - lam_m) for lam_m in lams if lam_m != lam_j]) * b_j
+        for lam_j, b_j in levels)
 
 
 @dataclass(frozen=True)
@@ -96,6 +142,7 @@ class PathRecord:
             "objective": self.solution.objective,
             "rank": self.rank,
             "iters": self.iters,
+            "backtracks": self.solution.backtracks,
             "converged": self.converged,
             "gap": self.gap,
             "time_ms": self.solve_time_ms,
@@ -142,9 +189,14 @@ def _run_path(mode, problem, weights, schedule, config, warm_start, epsilon=None
     """Solve every level in descending lambda; screen first in "screened" mode.
 
     The records come back in the schedule's ascending order. Each level is
-    solved after the one above it, so a warm level starts from the solution
-    at the next larger lambda, and the first solved level from B = 0, the
-    solution at lambda_max. The screened mode starts at lambda_max too: its
+    solved after the one above it. The first solved level starts from B = 0,
+    the solution at lambda_max; on a warm path every later level starts from
+    extrapolate() through the last PREDICTOR_POINTS solved levels: the
+    second from the first one's solution, the third from the secant through
+    the two above it, and every later one from the quadratic through the
+    three above it. A start outside a restricted cache's span is projected
+    by cache.coordinates, and every level is certified by the same gap test
+    whatever it starts from. The screened mode starts at lambda_max too: its
     dual solution there is -y/(n lambda_max), and any orthogonal bases are
     singular bases of B = 0 (the pilot's are taken). Every level is screened
     from the level solved before it, with that level's dual estimate and the
@@ -165,7 +217,7 @@ def _run_path(mode, problem, weights, schedule, config, warm_start, epsilon=None
     setup_ms = (time.perf_counter() - t0) * 1e3
 
     records = []
-    b_prev = None
+    solved = []     # (lambda, B) of the last PREDICTOR_POINTS levels, warm only
     for lam in schedule.values[::-1]:
         lam = float(lam)
         level_cache, screen_ms = cache, 0.0
@@ -185,10 +237,11 @@ def _run_path(mode, problem, weights, schedule, config, warm_start, epsilon=None
             screen_ms = (time.perf_counter() - t0) * 1e3
 
         t0 = time.perf_counter()
-        sol = solve(base.at_lambda(lam), config, cache=level_cache, warm_start=b_prev)
+        sol = solve(base.at_lambda(lam), config, cache=level_cache,
+                    warm_start=extrapolate(solved, lam))
         solve_ms = (time.perf_counter() - t0) * 1e3
         if warm_start:
-            b_prev = sol.B
+            solved = (solved + [(lam, sol.B)])[-PREDICTOR_POINTS:]
 
         # on the screened path the full singular bases of B feed the next
         # screen, along with the record's dual estimate

@@ -187,8 +187,8 @@ def test_path_both_modes(tmp_path, capsys):
     assert payload["totals"]["objective_mismatch"] <= 1e-6
     rec = payload["records"][0]
     assert set(rec) == {
-        "lambda", "objective", "rank", "iters", "converged", "gap", "time_ms",
-        "screen_time_ms", "screened_rows", "screened_cols", "kept_dims",
+        "lambda", "objective", "rank", "iters", "backtracks", "converged", "gap",
+        "time_ms", "screen_time_ms", "screened_rows", "screened_cols", "kept_dims",
     }
     assert all(r["gap"] <= 1e-6 for r in payload["records"])
 

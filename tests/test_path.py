@@ -65,6 +65,17 @@ def test_schedule_validation():
         LambdaSchedule(lambda_max=1.0, k=0)
     with pytest.raises(ValueError, match=r"ratio must be in \(0, 1\)"):
         LambdaSchedule(lambda_max=1.0, k=3, ratio=1.0)
+    # explicit values: k finite, positive, strictly ascending lambdas
+    for values in ([0.5, 0.5], [0.7, 0.1], [0.0, 0.5], [-0.1, 0.5],
+                   [0.1, np.inf], [0.1, np.nan]):
+        with pytest.raises(ValueError, match="finite, positive and strictly ascending"):
+            LambdaSchedule(lambda_max=1.0, k=2, values=values)
+    for values in ([0.1, 0.5, 0.7], [0.5], [[0.1, 0.5]]):
+        with pytest.raises(ValueError, match="values must hold k=2 lambdas"):
+            LambdaSchedule(lambda_max=1.0, k=2, values=values)
+    # the two explicit schedules the path tests use stay valid
+    LambdaSchedule(lambda_max=1.0, k=2, values=np.array([0.1, 0.7]))
+    LambdaSchedule(lambda_max=2.5, k=1, values=np.array([2.5]))
 
 
 # -------------------------------------------------------------- full path
@@ -117,6 +128,57 @@ def test_paths_solve_descending_and_report_ascending(monkeypatch, tmp_path, caps
     assert solved == lams[::-1] * 2
 
 
+def test_warm_levels_start_from_the_extrapolated_solutions_above(
+        monkeypatch, tmp_path, capsys):
+    real_solve = tracereg.path.solve
+    solves = []     # (lambda, warm start, solution B) in solve order
+
+    def spy(instance, *args, **kwargs):
+        sol = real_solve(instance, *args, **kwargs)
+        solves.append((instance.lam, kwargs["warm_start"], sol.B))
+        return sol
+
+    monkeypatch.setattr(tracereg.path, "solve", spy)
+
+    def close(start, expected):
+        err = np.linalg.norm(start - expected)
+        assert err <= 1e-14 * np.linalg.norm(expected)
+
+    def check_warm(path):
+        lams, starts, bs = zip(*path)
+        assert starts[0] is None
+        np.testing.assert_array_equal(starts[1], bs[0])
+        (l0, l1), lam = lams[:2], lams[2]
+        close(starts[2], bs[1] + (lam - l1) / (l0 - l1) * (bs[0] - bs[1]))
+        for m in range(3, len(path)):
+            # Newton's divided differences through the three levels above
+            (l0, l1, l2), (b0, b1, b2), lam = lams[m - 3:m], bs[m - 3:m], lams[m]
+            d01, d12 = (b1 - b0) / (l1 - l0), (b2 - b1) / (l2 - l1)
+            close(starts[m], b0 + (lam - l0) * d01
+                  + (lam - l0) * (lam - l1) * (d12 - d01) / (l2 - l0))
+
+    problem, weights, sched, gram = small_case(seed=2, k=6)
+    for run in (full_path, lambda *a, **kw: screened_path(*a, gram=gram, **kw)):
+        run(problem, weights, sched, warm_start=True)
+        assert len(solves) == 6 and any(np.any(b) for _, _, b in solves)
+        check_warm(solves)
+        solves.clear()
+        run(problem, weights, sched, warm_start=False)
+        assert [start for _, start, _ in solves] == [None] * 6
+        solves.clear()
+
+    assert main(["generate", "--p", "4", "--q", "5", "--n", "8", "--seed", "3",
+                 "--out", str(tmp_path)]) == EXIT_OK
+    manifest = capsys.readouterr().out.strip()
+    assert main(["path", "--manifest", manifest, "--k", "5", "--mode", "both",
+                 "--warm-start"]) == EXIT_OK
+    capsys.readouterr()
+    # the full path, then the screened one
+    assert len(solves) == 10
+    check_warm(solves[:5])
+    check_warm(solves[5:])
+
+
 def test_screened_path_solves_the_gram_system_once(monkeypatch):
     # B_ls and the solved designs; every screen rotates the solved designs
     problem, weights, sched, gram = small_case(seed=1)
@@ -142,6 +204,7 @@ def test_records_read_their_solution():
             assert (d["lambda"], d["objective"], d["iters"], d["converged"], d["gap"]) == (
                 rec.lam, sol.objective, sol.iters, sol.converged, sol.gap)
             assert d["kept_dims"] == list(rec.kept_dims)
+            assert d["backtracks"] == sol.backtracks
 
 
 def test_full_path_single_point_at_ceiling_is_zero():
