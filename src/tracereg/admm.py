@@ -27,25 +27,35 @@ for each trial, as Scheinberg et al. do, took 10.5 % more prox evaluations
 on the benchmark paths walked in ascending lambda.) max_iter counts accepted
 steps; Solution.backtracks counts the rejected trials. On the benchmark's
 warm full paths, walked from lambda_max down with each level started from
-path.extrapolate, the prox count falls from 1 715 / 1 330 / 1 555
-(Gaussian 15 x 45, n = 30, seeds 0-2), 385 and 1 150 (cross 32 x 32,
-n = 10 and 100) at the fixed step 1/L to 1 239 / 917 / 1 068, 295 and 798,
-every level certified.
+path.extrapolate, the prox count falls from 925 / 1 050 / 1 110 (Gaussian
+15 x 45, n = 30, seeds 0-2), 290 and 950 (cross 32 x 32, n = 10 and 100)
+at the fixed step 1/L to 754 / 722 / 751, 215 and 654, every level
+certified.
 
 The iterate is held transposed so that vec is a view, and the loop updates
-preallocated buffers in place. Every CHECK_EVERY iterations _certificate
-checks the iterate from its residual r = Z c - y, at the cost of one
+preallocated buffers in place. Every CHECK_EVERY iterations _check
+certifies the iterate from its residual r = Z c - y, at the cost of one
 product Z^T r and the top eigenvalue of its Gram, with ||c||_* from the
-prox's spectrum; a pass is confirmed on the same certificate with the
-singular values of c. The Solution's objective P, theta = r/n and gap all
-come from the certificate of the returned iterate. The certificate is:
+prox's spectrum; a pass is confirmed with the singular values of c. The
+Solution's objective P, theta = r/n, gap and dual point all come from the
+certificate that accepted the returned iterate. The certificate is:
 
 - the duality gap P - D, P = ||r||^2/2n + lambda ||c||_*, with the dual
   D(theta) = ||y||^2/2n - (n lambda^2/2) ||theta + y/(n lambda)||^2 taken at
-  theta = r/(n lambda) scaled to feasibility, relative to ||y||^2/2n (the
-  objective at B = 0);
-- the dual infeasibility (||Z^T r||_2/n - lambda)_+, relative to the
-  instance's lambda_max.
+  a dual feasible point, relative to ||y||^2/2n (the objective at B = 0);
+- the dual infeasibility (||Z^T r||_2/n - lambda)_+ of the iterate, relative
+  to the instance's lambda_max.
+
+The dual point is first the radial one, theta = r/(n lambda) scaled to
+feasibility, as in gap-safe rules (Ndiaye, Fercoq, Gramfort & Salmon, JMLR
+2017). Scaling all of r costs D in proportion to the excess
+||Z^T r||_2/(n lambda) - 1, so near the optimum the gap stays almost all
+dual. When that point fails, the infeasibility passes and the gate
+(FACE_GATE) admits it, the residual is first moved onto the active face of
+the nuclear norm's subdifferential (_face_certificate) and then scaled; its
+norm is computed exactly, so that point is feasible too and D stays a
+lower bound. With the radial point alone the warm full paths above took
+1 239 / 917 / 1 068, 295 and 798 prox evaluations.
 
 The unreduced problem has Xt_i = X_i and M1, M2 = W1, W2. A screened level
 runs on FactorCache.restrict, C = Q_L C' Q_R^T on the designs Q_L^T Z_i Q_R;
@@ -62,9 +72,10 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import lapack
 
 from .model import unvec, vec
-from .prox import nuclear_norm, prox_nuclear, spectral_norm
+from .prox import nuclear_norm, prox_nuclear, singular_pairs_above, spectral_norm
 
 # iterations between two certificate checks
 CHECK_EVERY = 5
@@ -82,6 +93,34 @@ CURVATURE_RTOL = 1e-12
 TRIANGULAR_RTOL = np.finfo(float).eps
 
 TINY = np.finfo(float).tiny
+
+_posv = lapack.dposv
+
+# the face-corrected dual point (_face_certificate) moves the residual onto
+# the face spanned by the singular pairs of G with sigma > (1 - FACE_DELTA)
+# lambda. Prox evaluations on the seven warm full paths of Gaussian 15 x 45
+# n = 30 (seeds 0-2) and cross 32 x 32 and 64 x 64 (n = 10, 100), by delta:
+# 10^-3 881 / 734 / 781, 215 / 654, 565 / 662; 10^-2 754 / 722 / 751,
+# 215 / 654, 571 / 662; 10^-1 776 / 692 / 751, 255 / 769, 571 / 774.
+FACE_DELTA = 1e-2
+
+# a check that fails on the radial point tries the face-corrected one only
+# when the iterate's dual infeasibility passes and P - D at the unscaled
+# residual r (not a bound: r is infeasible) is within FACE_GATE * tol_primal;
+# the correction moves r little, so a larger gap there rarely certifies. A
+# correction costs a partial eigensolve, one contraction of Z, a k^2-square
+# Cholesky solve and one more Z^T r product with its eigensolve: 100-230 us
+# at 15 x 45 (k = 1-3) and 300-770 us at 32 x 32, n = 100 (k = 1-8), against
+# about 100 us per prox step. Prox evaluations per warm full path (Gaussian
+# seeds 0-2; cross 32 x 32 n = 10 and 100) and corrections run, by gate:
+#   radial only  1 239 / 917 / 1 068, 295, 798
+#   1            1 005 / 778 / 825, 295, 659    (12 / 14 / 14, 0, 6)
+#   10           851 / 741 / 756, 235, 654      (15 / 15 / 15, 9, 7)
+#   100          754 / 722 / 751, 215, 654      (26 / 19 / 17, 15, 7)
+#   no gate      754 / 722 / 741, 215, 654      (36 / 22 / 19, 17, 8)
+# Without the gate the benchmark's Gaussian cold solves at 0.3 lambda_max
+# ran corrections that saved no prox step; at 100 they run none.
+FACE_GATE = 100.0
 
 
 @dataclass(frozen=True)
@@ -243,6 +282,10 @@ class Solution:
     solve_time_ms: float
     gap: float             # duality gap relative to ||y||^2/2n
     dual_infeasibility: float   # (||Z^T r||_2/n - lambda)_+ relative to lambda_max
+    # the dual feasible point t the gap was taken at, in theta's scale: t/lambda
+    # has dual gauge <= 1 and D = ||y||^2/2n - ||n t + y||^2/2n
+    dual_point: np.ndarray
+    dual_kind: str         # "radial" (r/n scaled) or "face" (corrected, then scaled)
     final_state: np.ndarray | None = None   # d1 x d2 iterate, for warm starts
 
 
@@ -254,32 +297,117 @@ def objective_value(instance, theta_mat):
 
 
 class _Certificate(NamedTuple):
-    """A check's data at an iterate c: r = Z vec(c) - y, the fit ||r||^2/2n,
-    the dual value D at r/(n lambda) scaled to feasibility, ||y||^2/2n,
-    lambda and the dual infeasibility relative to lambda_max."""
+    """A check's data at an iterate c, with r = Z vec(c) - y.
+
+    point is a dual feasible point in theta's scale and dual its D;
+    gradient is G = unvec(Z^T r')/n at the residual r' that point scales
+    (r itself on the radial point).
+    """
 
     residual: np.ndarray
-    fit: float
+    fit: float             # ||r||^2/2n
+    gradient: np.ndarray
+    point: np.ndarray
     dual: float
-    y_sq: float
+    y_sq: float            # ||y||^2/2n
     lam: float
-    infeasibility: float
+    infeasibility: float   # (||G||_2 - lambda)_+ of r, relative to lambda_max
+    kind: str              # "radial" or "face"
 
-    def gap(self, nuclear):
-        """P - D relative to ||y||^2/2n, given ||c||_* = nuclear."""
-        return (self.fit + self.lam * nuclear - self.dual) / max(self.y_sq, TINY)
+    def gap(self, nuclear, dual=None):
+        """P - D relative to ||y||^2/2n, given ||c||_* = nuclear; D defaults to self.dual."""
+        dual = self.dual if dual is None else dual
+        return (self.fit + self.lam * nuclear - dual) / max(self.y_sq, TINY)
+
+
+def _scaled_point(instance, residual, dual_norm):
+    """residual/n scaled onto the dual feasible set, given its ||G||_2, and its D."""
+    n, lam, y = instance.n, instance.lam, instance.y
+    point = residual / (n * max(1.0, dual_norm / lam))
+    shifted = n * point + y
+    return point, 0.5 / n * (float(y @ y) - float(shifted @ shifted))
 
 
 def _certificate(instance, cache, zc):
-    """The _Certificate of the iterate c with Z vec(c) = zc."""
+    """The radial _Certificate of the iterate c with Z vec(c) = zc."""
     n, lam, y = instance.n, instance.lam, instance.y
     r = zc - y
-    dual_norm = spectral_norm(unvec(cache.Z.T @ r, cache.d1, cache.d2)) / n
-    shifted = (r / max(1.0, dual_norm / lam) + y) / (n * lam)
+    gradient = unvec(cache.Z.T @ r, cache.d1, cache.d2) / n
+    dual_norm = spectral_norm(gradient)
+    point, dual = _scaled_point(instance, r, dual_norm)
     y_sq = 0.5 / n * float(y @ y)
-    dual = y_sq - 0.5 * n * lam * lam * float(shifted @ shifted)
     infeasibility = max(dual_norm - lam, 0.0) / max(cache.lambda_max, TINY)
-    return _Certificate(r, 0.5 / n * float(r @ r), dual, y_sq, lam, infeasibility)
+    return _Certificate(r, 0.5 / n * float(r @ r), gradient, point, dual, y_sq, lam,
+                        infeasibility, "radial")
+
+
+def _face_certificate(instance, cache, certificate):
+    """The certificate at the residual moved onto the active face, or None.
+
+    At the optimum the singular pairs (U_k, V_k) of G with sigma = lambda
+    span the face of the nuclear norm's subdifferential where
+    U_k^T G V_k = lambda I_k (Watson, Linear Algebra Appl. 1992). Taking the
+    pairs with sigma > (1 - FACE_DELTA) lambda, with A the n x k^2 matrix of
+    rows vec(U_k^T Z_i V_k)/n, the residual moves by the least-norm Delta
+    with A^T (r + Delta) = lambda vec(I_k), Delta = A (A^T A)^{-1} (lambda
+    vec(I_k) - A^T r), and r + Delta is scaled onto the feasible set with
+    its exact ||G||_2 like the radial point. None when k = 0, k^2 > n or
+    A^T A is not numerically positive definite.
+    """
+    n, lam, r = instance.n, instance.lam, certificate.residual
+    d1, d2 = cache.d1, cache.d2
+    u, _, v = singular_pairs_above(certificate.gradient, (1.0 - FACE_DELTA) * lam)
+    k = u.shape[1]
+    if not k or k * k > n:
+        return None
+    # rows of Z hold Z_i^T row-major: one product with Z seen as (n d2) x d1
+    # gives every Z_i^T U_k, and V_k^T Z_i^T U_k holds v_b^T Z_i^T u_a at (b, a)
+    zu = (cache.Z.reshape(n * d2, d1) @ u).reshape(n, d2, k)
+    a = np.matmul(v.T, zu).reshape(n, k * k) / n
+    _, w, info = _posv(a.T @ a, lam * np.eye(k).ravel() - a.T @ r)
+    if info:
+        return None
+    moved = r + a @ w
+    gradient = unvec(cache.Z.T @ moved, d1, d2) / n
+    point, dual = _scaled_point(instance, moved, spectral_norm(gradient))
+    return certificate._replace(gradient=gradient, point=point, dual=dual, kind="face")
+
+
+def _check(instance, cache, zc, c, estimate, config):
+    """Certify the iterate c with Z vec(c) = zc: (certificate, ||c||_*, passed).
+
+    estimate is ||c||_* as the prox's spectrum reports it, or None to take
+    it from the singular values of c; a gap that passes on the estimate is
+    confirmed on c's own, so a passed gap is exact. The radial point is
+    tried first; when it fails, on the estimate or on the confirmation, and
+    the gate (FACE_GATE) admits it, the face-corrected point is tried. The
+    returned certificate is the one that passed, or else the better of the
+    points tried; its nuclear norm is exact when estimate is None.
+    """
+    certificate = _certificate(instance, cache, zc)
+    nuclear = nuclear_norm(c) if estimate is None else estimate
+    exact = estimate is None
+    if certificate.infeasibility > config.tol_dual:
+        return certificate, nuclear, False
+
+    def passes(cert):
+        nonlocal nuclear, exact
+        if cert.gap(nuclear) > config.tol_primal:
+            return False
+        if not exact:
+            nuclear, exact = nuclear_norm(c), True
+        return cert.gap(nuclear) <= config.tol_primal
+
+    if passes(certificate):
+        return certificate, nuclear, True
+    # D at the unscaled residual r, where r + y = zc
+    unscaled = certificate.y_sq - 0.5 / instance.n * float(zc @ zc)
+    if certificate.gap(nuclear, unscaled) > FACE_GATE * config.tol_primal:
+        return certificate, nuclear, False
+    face = _face_certificate(instance, cache, certificate)
+    if face is None or face.dual <= certificate.dual:
+        return certificate, nuclear, False
+    return face, nuclear, passes(face)
 
 
 def _next_momentum(t, ratio):
@@ -297,9 +425,6 @@ def solve(instance, config=None, cache=None, warm_start=None):
     config = config or AdmmConfig()
     cache = cache or precompute(instance)
     t0 = time.perf_counter()
-
-    def certified(cert, nuclear):
-        return cert.gap(nuclear) <= config.tol_primal and cert.infeasibility <= config.tol_dual
 
     n, lam, y = instance.n, instance.lam, instance.y
     d1, d2 = cache.d1, cache.d2
@@ -368,20 +493,17 @@ def solve(instance, config=None, cache=None, warm_start=None):
         c = c_new
         zc, zc_new = zc_new, zc
 
-        # ||c||_* from the prox's own spectrum; a pass is confirmed with the
-        # singular values of c itself, so every accepted gap is exact
+        # ||c||_* from the prox's own spectrum, confirmed on c at a pass
         if it % CHECK_EVERY == 0:
-            certificate = _certificate(instance, cache, zc)
-            estimate = nuclear_norm(c) if spectrum is None else float(spectrum.sum())
-            if certified(certificate, estimate) and certified(
-                    certificate, nuclear := nuclear_norm(c)):
-                converged = True
+            certificate, nuclear, converged = _check(
+                instance, cache, zc, c,
+                None if spectrum is None else float(spectrum.sum()), config)
+            if converged:
                 break
 
     if not converged:
         # the returned iterate (cap, or no iterate), certified exactly
-        certificate, nuclear = _certificate(instance, cache, zc), nuclear_norm(c)
-        converged = certified(certificate, nuclear)
+        certificate, nuclear, converged = _check(instance, cache, zc, c, None, config)
 
     theta_mat = cache.solve(c.T)
     elapsed_ms = (time.perf_counter() - t0) * 1e3
@@ -395,5 +517,7 @@ def solve(instance, config=None, cache=None, warm_start=None):
         solve_time_ms=elapsed_ms,
         gap=certificate.gap(nuclear),
         dual_infeasibility=certificate.infeasibility,
+        dual_point=certificate.point,
+        dual_kind=certificate.kind,
         final_state=theta_mat,
     )

@@ -114,6 +114,7 @@ def cmd_solve(args):
         "iters": solution.iters,
         "converged": solution.converged,
         "gap": solution.gap,
+        "dual_kind": solution.dual_kind,
         "time_ms": solution.solve_time_ms,
         "primal_residual": solution.gap,
         "dual_residual": solution.dual_infeasibility,

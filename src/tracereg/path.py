@@ -16,10 +16,13 @@ both.
 
 A warm path starts each level from the quadratic in lambda through the
 solutions of the three levels above it (fewer above: their secant, their
-one solution, or B = 0). On the benchmark's warm full paths that cuts the
-prox evaluations from 3 612 / 1 890 / 2 186 (Gaussian 15 x 45, n = 30,
-seeds 0-2), 432 and 835 (cross 32 x 32, n = 10 and 100) with the last
-solution as start to 1 239 / 917 / 1 068, 295 and 798.
+one solution, or B = 0). Certified on the radial dual point alone, that cut
+the prox evaluations on the benchmark's warm full paths from 3 612 / 1 890
+/ 2 186 (Gaussian 15 x 45, n = 30, seeds 0-2), 432 and 835 (cross 32 x 32,
+n = 10 and 100) with the last solution as start to 1 239 / 917 / 1 068, 295
+and 798. With the face-corrected dual point (admm.FACE_GATE) the paths take
+754 / 722 / 751, 215 and 654; each record's dual_kind says which point
+certified its level.
 """
 
 from __future__ import annotations
@@ -82,7 +85,8 @@ def numerical_rank(b):
 
 # a warm level starts from the polynomial in lambda through the solutions of
 # the last PREDICTOR_POINTS levels above it. Prox evaluations per warm full
-# path with 1 / 2 / 3 / 4 points (constant, secant, quadratic, cubic):
+# path with 1 / 2 / 3 / 4 points (constant, secant, quadratic, cubic),
+# certified on the radial dual point alone:
 # Gaussian 15 x 45 n = 30 seed 0 3 612 / 1 616 / 1 239 / 1 163, seed 1
 # 1 890 / 1 159 / 917 / 901, seed 2 2 186 / 1 410 / 1 068 / 957; cross32
 # n = 10 432 / 330 / 295 / 260 and n = 100 835 / 801 / 798 / 815. Over 15
@@ -145,6 +149,7 @@ class PathRecord:
             "backtracks": self.solution.backtracks,
             "converged": self.converged,
             "gap": self.gap,
+            "dual_kind": self.solution.dual_kind,
             "time_ms": self.solve_time_ms,
             "screen_time_ms": self.screen_time_ms,
             "screened_rows": self.screened_rows,

@@ -149,12 +149,8 @@ def _prox_nuclear(m, t, rank_hint):
     gram = _small_gram(m)
     cut = t * t
     if rank_hint is not None and PARTIAL_EIGEN_SHARE * (rank_hint + 1) <= min(p, q):
-        # eigenvalues in (t^2, vu]; twice the trace bounds them all
-        vu = 2.0 * max(float(gram.trace()), cut)
-        w, vecs, kept, _, info = _syevx(gram, range="V", vl=cut, vu=vu, overwrite_a=1)
-        _check_info(info, "syevx")
-        w, vecs = w[:kept], vecs[:, :kept]
-        top = w[-1] if kept else 0.0
+        w, vecs = _eigenpairs_above(gram, cut)
+        top = w[-1] if w.size else 0.0
     else:
         w, vecs, info = _syevd(gram, compute_v=1, overwrite_a=1)
         _check_info(info, "syevd")
@@ -179,6 +175,34 @@ def _prox_nuclear_svd(m, t):
     s = np.maximum(s - t, 0.0)
     keep = s > 0
     return (U[:, keep] * s[keep]) @ Vt[keep] if np.any(keep) else np.zeros_like(m)
+
+
+def singular_pairs_above(m, s_min):
+    """(U_k, sigma, V_k): the singular triples of m with sigma > s_min.
+
+    sigma ascends. One side comes from the eigenpairs of the smaller Gram
+    above s_min^2 (LAPACK syevx), the other as m^T u / sigma or m v / sigma,
+    so the pairs are as accurate as the Gram resolves them (see
+    GRAM_RESOLUTION).
+    """
+    m = np.asarray(m, dtype=float)
+    w, vecs = _eigenpairs_above(_small_gram(m), s_min * s_min)
+    sigma = np.sqrt(w)
+    if m.shape[0] <= m.shape[1]:
+        return vecs, sigma, (m.T @ vecs) / sigma
+    return (m @ vecs) / sigma, sigma, vecs
+
+
+def _eigenpairs_above(gram, cut):
+    """The eigenpairs of a Gram matrix with eigenvalue above cut, ascending.
+
+    LAPACK syevx by bisection and inverse iteration, on eigenvalues in
+    (cut, vu]; twice the trace bounds them all. gram is overwritten.
+    """
+    vu = 2.0 * max(float(gram.trace()), cut)
+    w, vecs, kept, _, info = _syevx(gram, range="V", vl=cut, vu=vu, overwrite_a=1)
+    _check_info(info, "syevx")
+    return w[:kept], vecs[:, :kept]
 
 
 def _small_gram(m):

@@ -23,6 +23,7 @@ from tracereg import (
     vec,
 )
 from tracereg.harness import GaussianSpec, gen_gaussian, prepare
+from tracereg.model import compute_weights
 
 
 def small_setup(seed, p=5, q=6, n=8, lam_ratio=0.3):
@@ -39,21 +40,25 @@ def scalar_instance(y=2.0, lam=0.5):
     )
 
 
-def independent_gap(problem, weights, b, lam):
+def independent_gap(problem, weights, b, lam, point=None):
     """P - D over ||y||^2/2n, from the paper's dual in original coordinates.
 
-    theta is the KKT estimate (X vec B - y)/(n lam) divided by its dual
-    gauge ||W1^{-1} (sum_i theta_i X_i) W2^{-1}||_2 when that exceeds 1.
+    D is taken at theta = point/lam, which must be dual feasible (a
+    Solution's dual_point), or by default at the radial point: the KKT
+    estimate (X vec B - y)/(n lam) divided by its dual gauge
+    ||W1^{-1} (sum_i theta_i X_i) W2^{-1}||_2 when that exceeds 1.
     """
     n, y = problem.n, problem.y
     fitted = np.einsum("npq,pq->n", problem.X, b)
     resid = y - fitted
     primal = resid @ resid / (2 * n) + lam * np.linalg.svd(
         weights.W1 @ b @ weights.W2, compute_uv=False).sum()
-    theta = (fitted - y) / (n * lam)
+    theta = (fitted - y if point is None else n * point) / (n * lam)
     g = np.einsum("n,npq->pq", theta, problem.X)
     gauge = np.linalg.norm(
         np.linalg.solve(weights.W2, np.linalg.solve(weights.W1, g).T).T, 2)
+    if point is not None:
+        assert gauge <= 1 + 1e-12
     shifted = theta / max(1.0, gauge) + y / (n * lam)
     dual = y @ y / (2 * n) - 0.5 * n * lam**2 * (shifted @ shifted)
     return (primal - dual) / (y @ y / (2 * n))
@@ -173,23 +178,32 @@ def test_solve_kkt_at_convergence():
 
 
 def test_reported_gap_matches_independent_dual():
+    # the gap is P - D at the solution's dual point, a radial one at the two
+    # capped solves and a face-corrected one at the converged solve; that
+    # point is dual feasible and certifies at least as well as the radial one
+    kinds = []
     for seed, max_iter in ((40, 3), (41, 7), (42, 5000)):
         problem, weights, lam = small_setup(seed)
         sol = solve(make_instance(problem, weights, lam), AdmmConfig(max_iter=max_iter))
-        own = independent_gap(problem, weights, sol.B, lam)
+        own = independent_gap(problem, weights, sol.B, lam, sol.dual_point)
         assert own >= -1e-12
         assert abs(sol.gap - own) <= 1e-9 + 1e-6 * own
+        assert own <= independent_gap(problem, weights, sol.B, lam) + 1e-12
+        kinds.append(sol.dual_kind)
     assert sol.converged and sol.gap <= 1e-6
+    assert kinds == ["radial", "radial", "face"]
 
 
 def test_certificate_confirms_the_prox_spectrum(monkeypatch):
     # a prox whose spectrum claims ||c||_* = 0 under-reports the gap at every
-    # check; the exact recheck on the iterate must still decide convergence
+    # check; the exact recheck on the iterate must still decide convergence,
+    # and a failed recheck must still try the face-corrected point
     def zero_spectrum(m, t, rank_hint=None, spectrum=False):
         out, s = prox_nuclear(m, t, rank_hint=rank_hint, spectrum=True)
         return out, None if s is None else np.zeros_like(s)
 
     tol = AdmmConfig().tol_primal
+    kinds = set()
     for seed in range(50, 55):
         problem, weights, lam = small_setup(seed)
         inst = make_instance(problem, weights, lam)
@@ -197,10 +211,14 @@ def test_certificate_confirms_the_prox_spectrum(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(tracereg.admm, "prox_nuclear", zero_spectrum)
             sol = solve(inst)
-        own = independent_gap(problem, weights, sol.B, lam)
+        own = independent_gap(problem, weights, sol.B, lam, sol.dual_point)
         assert sol.converged and sol.iters == honest.iters
+        assert sol.dual_kind == honest.dual_kind
         assert own <= tol
         assert abs(sol.gap - own) <= 1e-9 + 1e-6 * own
+        assert own <= independent_gap(problem, weights, sol.B, lam) + 1e-12
+        kinds.add(sol.dual_kind)
+    assert kinds == {"radial", "face"}
 
 
 def test_solution_reads_the_certificate_that_accepted_it(monkeypatch):
@@ -230,13 +248,66 @@ def test_solution_reads_the_certificate_that_accepted_it(monkeypatch):
     n, y = problem.n, problem.y
     expected = (problem.stacked @ vec(sol.B) - y) / n
     assert np.linalg.norm(sol.theta - expected) <= 1e-12 * np.linalg.norm(expected)
-    # the dual at theta/lambda scaled to feasibility, in original coordinates
-    feasible = sol.theta / lam
-    feasible /= max(1.0, dual_feasibility_gauge(feasible, problem, weights))
+    # the dual at the solution's feasible point, in original coordinates
+    assert sol.dual_kind == "face"
+    feasible = sol.dual_point / lam
+    assert dual_feasibility_gauge(feasible, problem, weights) <= 1 + 1e-12
     shifted = feasible + y / (n * lam)
     y_sq = y @ y / (2 * n)
     dual = y_sq - 0.5 * n * lam**2 * (shifted @ shifted)
     assert abs(sol.gap * y_sq - (sol.objective - dual)) <= 1e-12 * y_sq
+    assert sol.gap <= independent_gap(problem, weights, sol.B, lam) + 1e-12
+
+
+@pytest.mark.parametrize("p, q, n, seed, ratio, skipped", [
+    (5, 6, 8, 42, 0.3, False),
+    (5, 6, 8, 30, 0.3, False),
+    (6, 4, 10, 3, 0.1, False),
+    (4, 6, 20, 4, 0.5, False),
+    # two singular values of G sit at lambda, and 2^2 > n = 3
+    (4, 5, 3, 1, 0.2, True),
+])
+def test_face_corrected_dual_is_a_lower_bound(p, q, n, seed, ratio, skipped):
+    # at every iterate of capped solves, the face-corrected point (tried
+    # without the gate) is dual feasible in original coordinates and its D
+    # stays below the optimum of a 1e-13 solve. The weights come from a
+    # random matrix: the pilot's can be so ill-conditioned at n < pq that
+    # original coordinates resolve the gauge only to about 1e-8
+    problem, _ = gen_gaussian(GaussianSpec(p=p, q=q, n=n, seed=seed))
+    weights = compute_weights(np.random.default_rng(seed).standard_normal((p, q)), 1.0, n)
+    lam = ratio * lambda_max(problem, weights)
+    inst = make_instance(problem, weights, lam)
+    cache = precompute(inst)
+    optimum = solve(inst, AdmmConfig(tol_primal=1e-13, tol_dual=1e-13, max_iter=100000),
+                    cache=cache)
+    assert optimum.converged
+    y_sq = problem.y @ problem.y / (2 * n)
+    top = optimum.objective + 1e-13 * y_sq
+    delta = tracereg.admm.FACE_DELTA
+    outcomes = []     # k at each iterate
+    for max_iter in range(1, 41):
+        sol = solve(inst, AdmmConfig(max_iter=max_iter), cache=cache)
+        assert sol.objective - sol.gap * y_sq <= top
+        c = cache.coordinates(sol.final_state)
+        radial = tracereg.admm._certificate(inst, cache, cache.Z @ vec(c))
+        face = tracereg.admm._face_certificate(inst, cache, radial)
+        # the correction needs k^2 <= n for the k singular values of the
+        # dual gauge's matrix above (1 - FACE_DELTA) lambda
+        g = weights.W1inv @ unvec(problem.stacked.T @ sol.theta, p, q) @ weights.W2inv
+        k = int(np.sum(np.linalg.svd(g, compute_uv=False) > (1 - delta) * lam))
+        assert (face is None) == (k == 0 or k * k > n)
+        outcomes.append(k)
+        if face is None:
+            continue
+        assert face.kind == "face"
+        own = independent_gap(problem, weights, sol.B, lam, face.point)
+        assert abs(own * y_sq - (sol.objective - face.dual)) <= 1e-12 * y_sq
+        assert face.dual <= top
+    ks = np.array(outcomes)
+    assert np.any((ks > 0) & (ks * ks <= n))
+    assert np.any(ks * ks > n) == skipped
+    if skipped:
+        assert ks[-1] ** 2 > n and optimum.dual_kind == "radial"
 
 
 def test_solve_objective_eventually_decreases():
@@ -404,7 +475,11 @@ def test_descending_warm_path_takes_fewer_proxes_than_the_ascending_one():
     # 432 prox evaluations; extrapolated, 1 239 and 295
     (GaussianSpec(p=15, q=45, n=30, rank=2, seed=0), 20, 1300),
     (ShapeSpec("cross", size=32, n=10, seed=0), 10, 432),
-], ids=["gaussian", "cross32"])
+    # certified on the radial dual point alone, the extrapolated paths took
+    # 1 239 and 295; with the face-corrected point, 754 and 215
+    (GaussianSpec(p=15, q=45, n=30, rank=2, seed=0), 20, 1000),
+    (ShapeSpec("cross", size=32, n=10, seed=0), 10, 260),
+], ids=["gaussian", "cross32", "gaussian-face", "cross32-face"])
 def test_extrapolated_warm_path_takes_fewer_proxes(spec, k, limit):
     generate = gen_gaussian if isinstance(spec, GaussianSpec) else gen_shape
     problem, _ = generate(spec)
@@ -413,6 +488,48 @@ def test_extrapolated_warm_path_takes_fewer_proxes(spec, k, limit):
     assert all(r.converged for r in result.records)
     proxes = sum(r.solution.iters + r.solution.backtracks for r in result.records)
     assert proxes < limit
+
+
+def test_face_correction_runs_only_behind_its_gate(monkeypatch):
+    # a correction follows only a radial check that failed with the iterate's
+    # dual infeasibility passing and its unscaled gap within FACE_GATE tol; on
+    # the warm Gaussian path 26 of 142 checks ran one, and the benchmark's
+    # three cold solves at 0.3 lambda_max run none
+    config = AdmmConfig()
+    checked, corrected = [], []
+
+    def spy(name, seen):
+        original = getattr(tracereg.admm, name)
+
+        def wrapped(*args):
+            out = original(*args)
+            seen.append(args[-1] if name == "_face_certificate" else out)
+            return out
+        return wrapped
+
+    problems = [gen_gaussian(GaussianSpec(p=15, q=45, n=30, rank=2, seed=seed))[0]
+                for seed in range(3)]
+    with monkeypatch.context() as patch:
+        patch.setattr(tracereg.admm, "_certificate", spy("_certificate", checked))
+        patch.setattr(tracereg.admm, "_face_certificate", spy("_face_certificate", corrected))
+        weights, schedule, _ = prepare(problems[0], k=20)
+        result = full_path(problems[0], weights, schedule, warm_start=True)
+        assert all(r.converged for r in result.records)
+        assert any(r.solution.dual_kind == "face" for r in result.records)
+        assert corrected and len(corrected) < len(checked)
+        assert any(cert.infeasibility > config.tol_dual for cert in checked)
+        assert all(cert.infeasibility <= config.tol_dual for cert in corrected)
+        # the gate's P - D at the unscaled residual, with ||c||_* >= 0 left out
+        n, y = problems[0].n, problems[0].y
+        assert all(
+            cert.gap(0.0, cert.y_sq - (cert.residual + y) @ (cert.residual + y) / (2 * n))
+            <= tracereg.admm.FACE_GATE * config.tol_primal for cert in corrected)
+        for problem in problems:
+            corrected.clear()
+            weights, schedule, _ = prepare(problem, k=20)
+            inst = make_instance(problem, weights, 0.3 * schedule.lambda_max)
+            assert solve(inst, config).converged
+            assert corrected == []
 
 
 def test_warm_path_takes_fewer_iterations_than_cold_at_a_tight_tolerance():

@@ -124,10 +124,11 @@ def test_solve_payload(tmp_path, capsys):
     assert code == EXIT_OK
     payload = json.loads(out)
     assert set(payload) == {
-        "lambda", "objective", "rank", "iters", "converged", "gap", "time_ms",
-        "primal_residual", "dual_residual", "B",
+        "lambda", "objective", "rank", "iters", "converged", "gap", "dual_kind",
+        "time_ms", "primal_residual", "dual_residual", "B",
     }
     assert payload["converged"] is True
+    assert payload["dual_kind"] in ("radial", "face")
     # primal_residual is the relative duality gap, dual_residual the
     # relative dual infeasibility; both certify convergence at --tol
     assert payload["primal_residual"] == payload["gap"] <= 1e-6
@@ -188,9 +189,11 @@ def test_path_both_modes(tmp_path, capsys):
     rec = payload["records"][0]
     assert set(rec) == {
         "lambda", "objective", "rank", "iters", "backtracks", "converged", "gap",
-        "time_ms", "screen_time_ms", "screened_rows", "screened_cols", "kept_dims",
+        "dual_kind", "time_ms", "screen_time_ms", "screened_rows", "screened_cols",
+        "kept_dims",
     }
     assert all(r["gap"] <= 1e-6 for r in payload["records"])
+    assert all(r["dual_kind"] in ("radial", "face") for r in payload["records"])
 
 
 def test_path_single_mode_totals(tmp_path, capsys):

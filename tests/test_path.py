@@ -193,6 +193,7 @@ def test_screened_path_solves_the_gram_system_once(monkeypatch):
 
 def test_records_read_their_solution():
     problem, weights, sched, gram = small_case(seed=1)
+    kinds = set()
     for result in (full_path(problem, weights, sched),
                    screened_path(problem, weights, sched, gram=gram)):
         for rec in result.records:
@@ -205,6 +206,9 @@ def test_records_read_their_solution():
                 rec.lam, sol.objective, sol.iters, sol.converged, sol.gap)
             assert d["kept_dims"] == list(rec.kept_dims)
             assert d["backtracks"] == sol.backtracks
+            assert d["dual_kind"] == sol.dual_kind
+            kinds.add(sol.dual_kind)
+    assert kinds == {"radial", "face"}
 
 
 def test_full_path_single_point_at_ceiling_is_zero():

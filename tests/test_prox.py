@@ -293,6 +293,24 @@ def test_prox_nuclear_rank_hint_and_spectrum(case, monkeypatch):
     assert partial
 
 
+@pytest.mark.parametrize("p,q", [(15, 45), (45, 15), (32, 32)])
+def test_singular_pairs_above_match_the_svd(p, q):
+    # the triples with sigma above the cut, ascending, from the one partial
+    # eigensolver the prox uses too
+    rng = np.random.default_rng(p + q)
+    m = rng.standard_normal((p, q))
+    s_ref = np.linalg.svd(m, compute_uv=False)
+    for kept in (0, 1, 3):
+        cut = 0.5 * (s_ref[kept - 1] + s_ref[kept]) if kept else 2.0 * s_ref[0]
+        u, sigma, v = prox_module.singular_pairs_above(m, cut)
+        assert u.shape == (p, kept) and v.shape == (q, kept)
+        np.testing.assert_allclose(sigma, s_ref[:kept][::-1], rtol=1e-12)
+        np.testing.assert_allclose(u.T @ u, np.eye(kept), atol=1e-12)
+        np.testing.assert_allclose(v.T @ v, np.eye(kept), atol=1e-12)
+        np.testing.assert_allclose(m @ v, u * sigma, atol=1e-12 * s_ref[0])
+        np.testing.assert_allclose(m.T @ u, v * sigma, atol=1e-12 * s_ref[0])
+
+
 def test_prox_nuclear_spectrum_edge_cases():
     m = np.diag([3.0, 1.0, 0.5])
     out, spec = prox_nuclear(m, 2.0, spectrum=True)
