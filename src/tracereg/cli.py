@@ -126,11 +126,11 @@ def cmd_solve(args):
 
 def cmd_path(args):
     problem = load_problem(args.manifest)
-    if args.mode != "full" and not problem.full_row_rank:
-        # fail before the full path runs, not after it
+    weights, schedule, gram = prepare(problem, gamma=args.gamma, k=args.k, ratio=args.ratio)
+    if args.mode != "full" and gram is None:
+        # fail before any path runs, not after the full one
         raise ValueError("screening requires a numerically full row rank design; "
                          "use path --mode full")
-    weights, schedule, gram = prepare(problem, gamma=args.gamma, k=args.k, ratio=args.ratio)
     config = _config(args)
 
     results, totals = {}, {}

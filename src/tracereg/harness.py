@@ -187,6 +187,10 @@ def save_problem(problem, out_dir, stem="problem"):
 
 
 def _parse_csv_matrix(path, expect_cols):
+    """One CSV (or whitespace-separated) data file as a matrix of expect_cols columns.
+
+    Blank lines are skipped; a malformed row fails naming its row and column.
+    """
     rows = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -208,24 +212,6 @@ def _parse_csv_matrix(path, expect_cols):
                     ) from None
             rows.append(parsed)
     return np.array(rows, dtype=float)
-
-
-def _read_csv_matrix(path, expect_cols):
-    """One data file as a matrix, by numpy's C reader where it accepts the file.
-
-    The reader refuses every malformed file it meets (and warns on an empty
-    one); those files, and any of a column count other than expected, go
-    to _parse_csv_matrix, which names the offending row and column.
-    """
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", UserWarning)
-            data = np.loadtxt(path, delimiter=",", ndmin=2, comments=None, dtype=float)
-    except (ValueError, UserWarning):
-        data = None
-    if data is None or data.shape[1] != expect_cols:
-        return _parse_csv_matrix(path, expect_cols)
-    return data
 
 
 def _read_npy(path, cols):
@@ -255,11 +241,9 @@ def load_problem(manifest_path):
     """Load a problem from a manifest written by save_problem.
 
     Each data file is read by its suffix: a .npy file by numpy's binary
-    reader, which save_problem writes; any other file as CSV by numpy's C
-    reader, so hand-written and older CSV problem directories still load.
-    A CSV file the C reader refuses is parsed again line by line, so
-    malformed files still fail with the row and column of the first bad
-    value.
+    reader, which save_problem writes; any other file as CSV, line by line,
+    so hand-written and older CSV problem directories still load and a
+    malformed one fails with the row and column of its first bad value.
     """
     try:
         with open(manifest_path) as fh:
@@ -281,7 +265,7 @@ def load_problem(manifest_path):
             raise ValueError(f"data file not found: {path}")
         if path.endswith(".npy"):
             return _read_npy(path, cols)
-        return _read_csv_matrix(path, 1 if cols is None else cols)
+        return _parse_csv_matrix(path, 1 if cols is None else cols)
 
     y = read(manifest["y"], None).reshape(-1)
     if y.shape[0] != n:
@@ -336,10 +320,15 @@ class BenchRecord:
 def prepare(problem, gamma=1.0, k=20, ratio=0.616):
     """Weights, schedule and Gram factor for a problem; shared preprocessing.
 
-    The Gram factor is None when X X^T is singular (n > pq among others);
-    the pilot is then the least-squares fit, and only the full path runs.
+    The Gram factor is None, with a warning, when GramFactor refuses the
+    design as not numerically full row rank (n > pq among others); the
+    pilot is then the least-squares fit, and only the full path runs.
     """
-    gram = GramFactor(problem) if problem.full_row_rank else None
+    try:
+        gram = GramFactor(problem)
+    except np.linalg.LinAlgError as err:
+        warnings.warn(f"{err}; screening is disabled", stacklevel=2)
+        gram = None
     b_ls = min_norm_least_squares(problem, gram)
     weights = compute_weights(b_ls, gamma, problem.n)
     lmax = lambda_max(problem, weights)

@@ -8,16 +8,19 @@ vec(W1 B W2).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dpocon
 
-# smallest/largest singular value ratio below which the stacked design is
-# treated as row-rank deficient (screening disabled, solver still fine)
-ROW_RANK_RTOL = 1e-10
+# dpocon's reciprocal condition estimate of X X^T at or below which GramFactor
+# refuses the design. On 4 x 5, n = 10 designs it read 3e-9 to 6e-9 at a
+# singular value ratio of 1e-4 (Gram-route pilot within 4e-9 relative) and
+# 3e-11 to 6e-11 at 1e-5 (off by 5e-7; lstsq within 1e-11); the benchmark's
+# Gaussian and cross problems read 2e-8 and up.
+GRAM_RCOND = 1e-10
 
 # relative floor applied to padded singular values before the -gamma power
 SV_FLOOR_RTOL = 1e-8
@@ -47,17 +50,14 @@ class TraceRegressionProblem:
     X: np.ndarray          # (n, p, q)
     y: np.ndarray          # (n,)
     stacked: np.ndarray    # (n, p*q)
-    full_row_rank: bool
-    sv_ratio: float        # smallest/largest singular value of stacked
 
 
 def build_problem(X, y):
     """Validate inputs and assemble a TraceRegressionProblem.
 
-    X may be a list of p x q arrays or an (n, p, q) array. Emits a warning
-    (and sets full_row_rank=False) when the stacked design fails the
-    row-rank conditioning test; screening requires full row rank but the
-    solver does not.
+    X may be a list of p x q arrays or an (n, p, q) array. No decomposition
+    runs here: whether the design has full row rank, which screening needs
+    and the solver does not, is decided by GramFactor.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float).reshape(-1)
@@ -75,20 +75,13 @@ def build_problem(X, y):
 
     # row i of the stacked design is vec(X_i); transpose gives Fortran order
     stacked = X.transpose(0, 2, 1).reshape(n, p * q)
+    return TraceRegressionProblem(n=n, p=p, q=q, X=X, y=y, stacked=stacked)
 
-    sv = np.linalg.svd(stacked, compute_uv=False)
-    sv_ratio = float(sv[-1] / sv[0]) if sv[0] > 0 else 0.0
-    full_row_rank = n <= p * q and sv.size == n and sv_ratio > ROW_RANK_RTOL
-    if not full_row_rank:
-        warnings.warn(
-            "stacked design is not numerically full row rank "
-            f"(sv ratio {sv_ratio:.3e}); screening is disabled",
-            stacklevel=2,
-        )
 
-    return TraceRegressionProblem(
-        n=n, p=p, q=q, X=X, y=y, stacked=stacked,
-        full_row_rank=full_row_rank, sv_ratio=sv_ratio,
+def _row_rank_deficient(reason):
+    return np.linalg.LinAlgError(
+        f"stacked design is not numerically full row rank ({reason}); "
+        "a row-rank deficient design has no Gram factor"
     )
 
 
@@ -96,21 +89,28 @@ class GramFactor:
     """Cholesky factorization of the n x n Gram matrix stacked @ stacked.T.
 
     Shared by the least-squares estimate, the screening rule and the
-    solution path so the factorization happens once per problem.
+    solution path so the factorization happens once per problem. This is
+    the one test of full row rank: a design with n > pq is refused from
+    its shape, before any Gram is formed, and one whose Gram has no
+    Cholesky factor, or a reciprocal condition estimate at or below
+    GRAM_RCOND, is refused after. A refusal raises np.linalg.LinAlgError,
+    a ValueError.
     """
 
     def __init__(self, problem):
         self.problem = problem
+        n, pq = problem.stacked.shape
+        if n > pq:
+            raise _row_rank_deficient(f"n = {n} samples exceed p * q = {pq} entries")
         gram = problem.stacked @ problem.stacked.T
         try:
             self._cho = scipy.linalg.cho_factor(gram, lower=True)
-        except scipy.linalg.LinAlgError as err:
-            eigs = np.linalg.eigvalsh(gram)
-            raise np.linalg.LinAlgError(
-                "Gram matrix is not positive definite "
-                f"(eig range [{eigs[0]:.3e}, {eigs[-1]:.3e}]); "
-                "the stacked design is row-rank deficient"
-            ) from err
+        except scipy.linalg.LinAlgError:
+            raise _row_rank_deficient("X X^T has no Cholesky factor") from None
+        rcond, _ = dpocon(self._cho[0], np.linalg.norm(gram, 1), uplo="L")
+        if not rcond > GRAM_RCOND:
+            raise _row_rank_deficient(
+                f"rcond(X X^T) {rcond:.1e} is at most GRAM_RCOND = {GRAM_RCOND:.0e}")
 
     def solve(self, z):
         """(stacked stacked^T)^{-1} z for a vector or a matrix of columns."""
@@ -135,15 +135,14 @@ class GramFactor:
 def min_norm_least_squares(problem, gram=None):
     """Minimum-norm least-squares estimate of B.
 
-    For a full row rank design this is the interpolant
-    vec(B) = X^T (X X^T)^{-1} y. Without a Gram factor and with X X^T
-    singular (n > pq, or dependent rows) it is the least-squares fit
-    of minimum norm.
+    Given a GramFactor, it is the interpolant vec(B) = X^T (X X^T)^{-1} y
+    through that factor. Without one it is np.linalg.lstsq's least-squares
+    fit of minimum norm, which stays accurate where X X^T is singular or
+    ill-conditioned (n > pq, or nearly dependent rows).
     """
-    if gram is None and not problem.full_row_rank:
+    if gram is None:
         fit = np.linalg.lstsq(problem.stacked, problem.y, rcond=None)[0]
         return unvec(fit, problem.p, problem.q)
-    gram = gram or GramFactor(problem)
     return unvec(gram.row_space_map(problem.y), problem.p, problem.q)
 
 

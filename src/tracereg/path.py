@@ -182,9 +182,12 @@ def full_path(problem, weights, schedule, config=None, warm_start=False):
 
 def screened_path(problem, weights, schedule, config=None, epsilon=None, gram=None,
                   warm_start=False):
-    """The path with a screening step in front of every level."""
-    if not problem.full_row_rank:
-        raise ValueError("screening requires a numerically full row rank design")
+    """The path with a screening step in front of every level.
+
+    Screening needs a GramFactor of the problem; without one passed in it
+    is built first, so a design it refuses raises before any level runs.
+    """
+    gram = gram or GramFactor(problem)
     return _run_path("screened", problem, weights, schedule, config, warm_start,
                      epsilon=epsilon, gram=gram)
 
@@ -214,7 +217,6 @@ def _run_path(mode, problem, weights, schedule, config, warm_start, epsilon=None
     base = make_instance(problem, weights, schedule.values[0])
     cache = precompute(base)
     if screening:
-        gram = gram or GramFactor(problem)
         b_ls = min_norm_least_squares(problem, gram)
         bases = svd(b_ls, full=True)
         lam_prev = cache.lambda_max
@@ -291,8 +293,10 @@ def compare(problem, weights, schedule, config=None, epsilon=None,
     comparison as a safety violation; they are reported, never dropped.
     warm_start applies to both paths alike so the timings stay comparable.
     gram, a GramFactor of the problem, goes to the screened path; None has
-    it build its own.
+    it built first, so a design GramFactor refuses raises before the full
+    path runs.
     """
+    gram = gram or GramFactor(problem)
     full = full_path(problem, weights, schedule, config, warm_start=warm_start)
     screened = screened_path(problem, weights, schedule, config,
                              epsilon=epsilon, gram=gram, warm_start=warm_start)

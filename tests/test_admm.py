@@ -142,7 +142,7 @@ def test_precompute_rejects_rank_deficient_map():
 def test_solve_scalar_soft_threshold():
     # minimize (1/2)(2 - b)^2 + 0.5 |b|: the soft threshold gives b = 1.5
     inst = scalar_instance(y=2.0, lam=0.5)
-    sol = solve(inst, AdmmConfig(tol_primal=1e-13, tol_dual=1e-13, max_iter=100000))
+    sol = solve(inst, AdmmConfig(tol_primal=1e-13, tol_dual=1e-13))
     assert sol.converged
     assert abs(sol.B[0, 0] - 1.5) <= 1e-10
 
@@ -158,7 +158,7 @@ def test_solve_zero_at_lambda_max():
 
 
 def test_solve_kkt_at_convergence():
-    config = AdmmConfig(tol_primal=1e-8, tol_dual=1e-8, max_iter=100000)
+    config = AdmmConfig(tol_primal=1e-8, tol_dual=1e-8)
     for seed in range(5):
         problem, weights, lam = small_setup(20 + seed)
         sol = solve(make_instance(problem, weights, lam), config)
@@ -278,8 +278,7 @@ def test_face_corrected_dual_is_a_lower_bound(p, q, n, seed, ratio, skipped):
     lam = ratio * lambda_max(problem, weights)
     inst = make_instance(problem, weights, lam)
     cache = precompute(inst)
-    optimum = solve(inst, AdmmConfig(tol_primal=1e-13, tol_dual=1e-13, max_iter=100000),
-                    cache=cache)
+    optimum = solve(inst, AdmmConfig(tol_primal=1e-13, tol_dual=1e-13), cache=cache)
     assert optimum.converged
     y_sq = problem.y @ problem.y / (2 * n)
     top = optimum.objective + 1e-13 * y_sq

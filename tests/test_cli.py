@@ -12,7 +12,8 @@ import pytest
 
 import tracereg.cli
 import tracereg.model
-from tracereg import load_problem
+import tracereg.path
+from tracereg import load_problem, save_problem
 from tracereg.cli import (
     EXIT_INPUT,
     EXIT_NO_CONVERGENCE,
@@ -251,6 +252,32 @@ def test_path_both_modes_fail_fast_without_full_row_rank(tmp_path, capsys, monke
     assert out == ""
     assert "full row rank" in err and "--mode full" in err
     assert calls == []
+
+
+@pytest.mark.filterwarnings("ignore:stacked design is not numerically full row rank")
+@pytest.mark.parametrize("seed", [0, 1])
+def test_ill_conditioned_design_solves_but_refuses_screening(tmp_path, capsys, monkeypatch,
+                                                             conditioned_design, seed):
+    # stacked singular values down to 1e-9 of the largest: X X^T is far
+    # below GRAM_RCOND (on seed 1 it has no Cholesky factor at all), yet
+    # the solver needs no Gram and the pilot is the least-squares fit
+    manifest = save_problem(conditioned_design(1e-9, seed), tmp_path)
+    code, out, _ = run_cli(capsys, "solve", "--manifest", manifest)
+    assert code == EXIT_OK and json.loads(out)["converged"] is True
+    code, out, _ = run_cli(capsys, "path", "--manifest", manifest, "--mode", "full", "--k", "5")
+    assert code == EXIT_OK
+    assert all(r["converged"] for r in json.loads(out)["records"])
+
+    # screening is refused before any level is solved
+    solves, real_solve = [], tracereg.path.solve
+    monkeypatch.setattr(tracereg.path, "solve",
+                        lambda *a, **k: solves.append(a) or real_solve(*a, **k))
+    for mode in ("screened", "both"):
+        code, out, err = run_cli(capsys, "path", "--manifest", manifest, "--mode", mode,
+                                 "--k", "5")
+        assert code == EXIT_INPUT and out == ""
+        assert "full row rank" in err
+    assert solves == []
 
 
 def test_path_both_modes_safety_exit(tmp_path, capsys, monkeypatch):

@@ -19,11 +19,12 @@ from tracereg import (
     gen_gaussian,
     gen_shape,
     load_problem,
+    prepare,
     report,
     save_problem,
     shape_matrix,
 )
-from tracereg.harness import _parse_csv_matrix
+from tracereg.model import GramFactor
 
 
 # ------------------------------------------------------------- generators
@@ -56,11 +57,12 @@ def test_gaussian_zero_noise_responses_exact():
 
 def test_gaussian_noise_mean_clt_bound():
     spec = GaussianSpec(p=3, q=4, n=10000, noise_std=0.1, seed=3)
-    # n far above pq: the design cannot be full row rank, which is fine here
-    with pytest.warns(UserWarning, match="not numerically full row rank"):
-        problem, b_true = gen_gaussian(spec)
+    problem, b_true = gen_gaussian(spec)
     noise = problem.y - np.einsum("npq,pq->n", problem.X, b_true)
     assert abs(noise.mean()) <= 3.0 * spec.noise_std / np.sqrt(spec.n)
+    # n far above pq: the design cannot be full row rank, which only screening needs
+    with pytest.warns(UserWarning, match="not numerically full row rank"):
+        assert prepare(problem, k=2)[2] is None
 
 
 def test_generators_are_deterministic():
@@ -82,7 +84,7 @@ def test_generators_are_deterministic():
 def test_table_dimensions_full_row_rank_on_100_seeds():
     for seed in range(100):
         problem, _ = gen_gaussian(GaussianSpec(p=15, q=45, n=30, seed=seed))
-        assert problem.full_row_rank
+        GramFactor(problem)
 
 
 # ----------------------------------------------------------------- shapes
@@ -238,26 +240,25 @@ def test_load_refuses_bad_npy_files(tmp_path, case):
 
 
 READER_CASES = {
-    # numpy's reader returns these
-    "blank-lines": "1,2\n\n3,4\n",
-    "crlf": "1,2\r\n3,4\r\n",
-    "spaces-around-cells": " 1 , 2 \n3 ,\t4\n",
-    "nan-inf": "nan,inf\n-inf,NaN\n",
-    "signs-and-exponents": "+1e3,-.5\n1E-3,.5\n",
-    # it refuses these, and the line parser reads or rejects them
-    "whitespace-only-line": "1,2\n   \n3,4\n",
-    "whitespace-separated": "1 2\n3 4\n",
-    "underscore-digits": "1_0,2\n3,4\n",
-    "hash": "1,#2\n3,4\n",
-    "ragged": "1,2\n3\n",
-    "trailing-comma": "1,2,\n3,4,\n",
-    "empty": "",
+    # a CSV data file, and the rows load_problem reads from it or its error
+    "blank-lines": ("1,2\n\n3,4\n", [[1, 2], [3, 4]]),
+    "crlf": ("1,2\r\n3,4\r\n", [[1, 2], [3, 4]]),
+    "spaces-around-cells": (" 1 , 2 \n3 ,\t4\n", [[1, 2], [3, 4]]),
+    "nan-inf": ("nan,inf\n-inf,NaN\n", [[np.nan, np.inf], [-np.inf, np.nan]]),
+    "signs-and-exponents": ("+1e3,-.5\n1E-3,.5\n", [[1e3, -0.5], [1e-3, 0.5]]),
+    "whitespace-only-line": ("1,2\n   \n3,4\n", [[1, 2], [3, 4]]),
+    "whitespace-separated": ("1 2\n3 4\n", [[1, 2], [3, 4]]),
+    "underscore-digits": ("1_0,2\n3,4\n", [[10, 2], [3, 4]]),
+    "hash": ("1,#2\n3,4\n", "edge_X.csv: non-numeric value '#2' at row 1, column 2"),
+    "ragged": ("1,2\n3\n", "edge_X.csv: row 2 has 1 values, expected 2"),
+    "trailing-comma": ("1,2,\n3,4,\n", "edge_X.csv: row 1 has 3 values, expected 2"),
+    "empty": ("", "X has 0 rows, manifest says n=2"),
 }
 
 
-@pytest.mark.parametrize("text", READER_CASES.values(), ids=READER_CASES.keys())
-def test_load_matches_the_line_parser(tmp_path, monkeypatch, text):
-    # the line parser is the reference: the same bits or the same error
+@pytest.mark.parametrize("text, expected", READER_CASES.values(), ids=READER_CASES.keys())
+def test_load_matches_the_line_parser(tmp_path, monkeypatch, text, expected):
+    # CSV data files are read line by line: these bits, or this error
     (tmp_path / "edge_y.csv").write_text("1\n2\n")
     x_path = tmp_path / "edge_X.csv"
     with open(x_path, "w", newline="") as fh:
@@ -268,17 +269,13 @@ def test_load_matches_the_line_parser(tmp_path, monkeypatch, text):
     # take the arrays load_problem passes on; build_problem rejects nan and inf
     monkeypatch.setattr(tracereg.harness, "build_problem", lambda X, y: X)
 
-    try:
-        expected = _parse_csv_matrix(str(x_path), 2)
-        if expected.shape[0] != 2:
-            raise ValueError(f"X has {expected.shape[0]} rows, manifest says n=2")
-    except ValueError as err:
+    if isinstance(expected, str):
         with pytest.raises(ValueError) as caught:
             load_problem(manifest)
-        assert str(caught.value) == str(err)
+        assert str(caught.value).endswith(expected)
         return
     stacked = load_problem(manifest).transpose(0, 2, 1).reshape(2, 2)
-    assert stacked.tobytes() == expected.tobytes()
+    assert stacked.tobytes() == np.array(expected, dtype=float).tobytes()
 
 
 def test_save_load_round_trip_keeps_extreme_values(tmp_path):
@@ -300,7 +297,6 @@ def test_load_reads_saved_files_without_the_line_parser(tmp_path, monkeypatch):
         raise AssertionError(f"CSV reader called on {path}")
 
     monkeypatch.setattr(tracereg.harness, "_parse_csv_matrix", refuse)
-    monkeypatch.setattr(np, "loadtxt", refuse)
     loaded = load_problem(manifest)
     np.testing.assert_array_equal(loaded.stacked, problem.stacked)
 

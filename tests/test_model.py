@@ -1,5 +1,7 @@
 """Problem assembly, least-squares estimate, weights and lambda_max."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,8 @@ from tracereg import (
     unvec,
     vec,
 )
-from tracereg.harness import GaussianSpec, gen_gaussian
+from tracereg.harness import GaussianSpec, gen_gaussian, prepare
+from tracereg.model import GRAM_RCOND
 
 
 def test_vec_is_column_stacking():
@@ -62,22 +65,25 @@ def test_build_problem_validation():
             build_problem(np.zeros(shape), np.zeros(shape[0]))
 
 
-def test_build_problem_rank_deficient_warns():
+def test_rank_deficient_design_warns_in_prepare():
+    # build_problem only validates; prepare's GramFactor decides row rank
     x = np.ones((2, 2))
-    with pytest.warns(UserWarning, match="full row rank"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         problem = build_problem([x, x], [1.0, 1.0])
-    assert not problem.full_row_rank
+    with pytest.warns(UserWarning, match="not numerically full row rank"):
+        assert prepare(problem, k=2)[2] is None
 
     # more samples than matrix entries can never have full row rank
     rng = np.random.default_rng(2)
-    with pytest.warns(UserWarning, match="full row rank"):
-        problem = build_problem(rng.standard_normal((5, 2, 2)), np.zeros(5))
-    assert not problem.full_row_rank
+    problem = build_problem(rng.standard_normal((5, 2, 2)), np.ones(5))
+    with pytest.warns(UserWarning, match="not numerically full row rank"):
+        assert prepare(problem, k=2)[2] is None
 
 
 def test_gaussian_design_has_full_row_rank():
     problem, _ = gen_gaussian(GaussianSpec(p=15, q=45, n=30, seed=3))
-    assert problem.full_row_rank
+    GramFactor(problem)
     assert problem.stacked.shape == (30, 675)
     assert np.linalg.matrix_rank(problem.stacked) == 30
 
@@ -96,10 +102,35 @@ def test_gram_factor_solve_and_row_space_map():
 
 def test_gram_factor_rejects_rank_deficient_design():
     x = np.ones((2, 2))
-    with pytest.warns(UserWarning):
-        problem = build_problem([x, x], [1.0, 1.0])
+    problem = build_problem([x, x], [1.0, 1.0])
     with pytest.raises(np.linalg.LinAlgError, match="row-rank deficient"):
         GramFactor(problem)
+
+
+def test_gram_factor_refuses_more_samples_than_entries_from_the_shape(monkeypatch):
+    # n > pq is refused before any n x n Gram is formed or factored
+    problem, _ = gen_gaussian(GaussianSpec(p=2, q=3, n=7, seed=1))
+    monkeypatch.setattr("scipy.linalg.cho_factor", lambda *a, **k: pytest.fail("factored"))
+    with pytest.raises(np.linalg.LinAlgError, match="not numerically full row rank"):
+        GramFactor(problem)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_gram_rcond_threshold_sides(conditioned_design, seed):
+    # a singular value ratio of 1e-4 gives rcond(X X^T) near 4e-9 > GRAM_RCOND;
+    # 1e-6 gives near 4e-13, where a Gram-route pilot loses about 4e-5
+    assert GRAM_RCOND == 1e-10
+    kept = conditioned_design(1e-4, seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gram = prepare(kept, k=2)[2]
+    assert isinstance(gram, GramFactor)
+
+    refused = conditioned_design(1e-6, seed)
+    with pytest.raises(np.linalg.LinAlgError, match="GRAM_RCOND"):
+        GramFactor(refused)
+    with pytest.warns(UserWarning, match="not numerically full row rank"):
+        assert prepare(refused, k=2)[2] is None
 
 
 def test_min_norm_least_squares_zero_response():
@@ -193,14 +224,12 @@ def test_compute_weights_validation():
 def test_least_squares_pilot_when_gram_is_singular():
     # n > pq: X X^T is singular, so the pilot is the least-squares fit and
     # prepare hands out no Gram factor
-    from tracereg import prepare
-
-    with pytest.warns(UserWarning, match="full row rank"):
-        problem, _ = gen_gaussian(GaussianSpec(p=3, q=4, n=40, seed=12))
+    problem, _ = gen_gaussian(GaussianSpec(p=3, q=4, n=40, seed=12))
     b_ls = min_norm_least_squares(problem)
     normal = problem.stacked.T @ (problem.stacked @ vec(b_ls) - problem.y)
     assert np.linalg.norm(normal) <= 1e-10 * np.linalg.norm(problem.stacked.T @ problem.y)
-    weights, schedule, gram = prepare(problem, k=3)
+    with pytest.warns(UserWarning, match="full row rank"):
+        weights, schedule, gram = prepare(problem, k=3)
     assert gram is None
     assert schedule.lambda_max == lambda_max(problem, weights)
 

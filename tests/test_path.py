@@ -23,7 +23,7 @@ from tracereg.harness import GaussianSpec, ShapeSpec, gen_gaussian, gen_shape, p
 from tracereg.model import GramFactor
 from tracereg.path import numerical_rank
 
-TIGHT = AdmmConfig(tol_primal=1e-8, tol_dual=1e-8, max_iter=100000)
+TIGHT = AdmmConfig(tol_primal=1e-8, tol_dual=1e-8)
 
 
 def small_case(seed=0, p=4, q=6, n=12, k=5):
@@ -261,11 +261,24 @@ def test_path_duals_stay_feasible():
 def test_screened_path_requires_full_row_rank():
     X = np.zeros((3, 2, 2))
     X[:] = np.arange(4.0).reshape(2, 2)  # identical rows: rank-1 design
+    problem = build_problem(X, np.array([1.0, 1.0, 1.0]))
     with pytest.warns(UserWarning, match="not numerically full row rank"):
-        problem = build_problem(X, np.array([1.0, 1.0, 1.0]))
-    weights, sched = None, LambdaSchedule(lambda_max=1.0, k=2)
+        weights, sched, gram = prepare(problem, k=2)
+    assert gram is None
     with pytest.raises(ValueError, match="full row rank"):
         screened_path(problem, weights, sched)
+
+
+@pytest.mark.filterwarnings("ignore:stacked design is not numerically full row rank")
+def test_compare_factors_the_gram_before_the_full_path(monkeypatch):
+    # n = 400 > pq = 150: the screened half cannot run, so the full half must not start
+    problem, _ = gen_gaussian(GaussianSpec(p=10, q=15, n=400, seed=0))
+    weights, sched, gram = prepare(problem, k=3)
+    calls = []
+    monkeypatch.setattr(tracereg.path, "full_path", lambda *a, **k: calls.append(a))
+    with pytest.raises(ValueError, match="full row rank"):
+        compare(problem, weights, sched, gram=gram)
+    assert calls == []
 
 
 def test_screened_path_record_layout():

@@ -31,7 +31,7 @@ from tracereg.harness import GaussianSpec, gen_gaussian, prepare
 from tracereg.path import RANK_RTOL
 from tracereg.screen import DEFAULT_EPSILON_REL, _f_opt_batch, gamma_for, p_values
 
-TIGHT = AdmmConfig(tol_primal=1e-8, tol_dual=1e-8, max_iter=100000)
+TIGHT = AdmmConfig(tol_primal=1e-8, tol_dual=1e-8)
 
 # the package exports the function screen under the module's name
 screen_module = importlib.import_module("tracereg.screen")
@@ -396,7 +396,7 @@ def test_path_bound_covers_the_converged_next_solution(seed):
     # check that W bounds the converged coefficients U^T B(lambda_m) V
     problem, _ = gen_gaussian(GaussianSpec(p=4, q=6, n=12, seed=seed))
     weights, schedule, gram = prepare(problem, k=8)
-    oracle = AdmmConfig(tol_primal=1e-10, tol_dual=1e-10, max_iter=200000)
+    oracle = AdmmConfig(tol_primal=1e-10, tol_dual=1e-10)
     records = full_path(problem, weights, schedule, oracle, warm_start=True).records
     assert all(r.converged for r in records)
     b_ls = min_norm_least_squares(problem, gram)
@@ -436,7 +436,7 @@ def test_descending_bound_covers_the_converged_next_solution(p, q, n, seed):
     # B, and check that W bounds the converged coefficients U^T B(lambda) V
     problem, _ = gen_gaussian(GaussianSpec(p=p, q=q, n=n, seed=seed))
     weights, schedule, gram = prepare(problem, k=8)
-    oracle = AdmmConfig(tol_primal=1e-10, tol_dual=1e-10, max_iter=200000)
+    oracle = AdmmConfig(tol_primal=1e-10, tol_dual=1e-10)
     records = full_path(problem, weights, schedule, oracle, warm_start=True).records
     assert all(r.converged for r in records)
     b_ls = min_norm_least_squares(problem, gram)
