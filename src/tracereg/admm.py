@@ -286,7 +286,6 @@ class Solution:
     # has dual gauge <= 1 and D = ||y||^2/2n - ||n t + y||^2/2n
     dual_point: np.ndarray
     dual_kind: str         # "radial" (r/n scaled) or "face" (corrected, then scaled)
-    final_state: np.ndarray | None = None   # d1 x d2 iterate, for warm starts
 
 
 def objective_value(instance, theta_mat):
@@ -418,7 +417,8 @@ def _next_momentum(t, ratio):
 def solve(instance, config=None, cache=None, warm_start=None):
     """Run restarted FISTA to the certificate; never raises on non-convergence.
 
-    warm_start is a d1 x d2 iterate (a previous Solution.final_state).
+    warm_start is Theta in the instance's coordinates: a previous
+    Solution.B for an instance without embedding bases.
     Returns the last iterate with converged=False when max_iter is hit;
     callers that require convergence must check the flag.
     """
@@ -519,5 +519,4 @@ def solve(instance, config=None, cache=None, warm_start=None):
         dual_infeasibility=certificate.infeasibility,
         dual_point=certificate.point,
         dual_kind=certificate.kind,
-        final_state=theta_mat,
     )

@@ -71,7 +71,7 @@ def _config(args):
 
 
 def _emit(payload, out):
-    text = json.dumps(payload, indent=2) + "\n"
+    text = payload if isinstance(payload, str) else json.dumps(payload, indent=2) + "\n"
     if out:
         with open(out, "w") as fh:
             fh.write(text)
@@ -212,12 +212,7 @@ def cmd_bench(args):
 def cmd_report(args):
     with open(args.records) as fh:
         records = json.load(fh)
-    text = report(records, fmt=args.format)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(report(records, fmt=args.format), args.out)
     return EXIT_OK
 
 
@@ -287,7 +282,10 @@ def build_parser():
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as err:   # argparse's 2 on a bad command line, 0 on --help
+        return EXIT_INPUT if err.code else EXIT_OK
     try:
         return args.func(args)
     except (ValueError, OSError) as err:

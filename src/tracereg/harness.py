@@ -322,15 +322,14 @@ def prepare(problem, gamma=1.0, k=20, ratio=0.616):
 
     The Gram factor is None, with a warning, when GramFactor refuses the
     design as not numerically full row rank (n > pq among others); the
-    pilot is then the least-squares fit, and only the full path runs.
+    weights then come from lstsq's fit, and only the full path runs.
     """
     try:
         gram = GramFactor(problem)
     except np.linalg.LinAlgError as err:
         warnings.warn(f"{err}; screening is disabled", stacklevel=2)
         gram = None
-    b_ls = min_norm_least_squares(problem, gram)
-    weights = compute_weights(b_ls, gamma, problem.n)
+    weights = compute_weights(min_norm_least_squares(problem, gram), gamma, problem.n)
     lmax = lambda_max(problem, weights)
     return weights, LambdaSchedule(lambda_max=lmax, k=k, ratio=ratio), gram
 
@@ -385,23 +384,33 @@ def bench(specs, k=None, ratio=0.616, reps=10, config=None, gamma=1.0, epsilon=N
     return records
 
 
+# the keys of a bench record that reports read, in csv column order
+REPORT_COLUMNS = (
+    "label", "p", "q", "n", "k", "reps",
+    "t_full_ms_mean", "t_full_ms_var",
+    "t_screened_ms_mean", "t_screened_ms_var",
+    "speedup_mean", "speedup_var", "safety_ok", "converged",
+)
+
+
 def report(records, fmt="markdown"):
-    """Render bench records as json, csv or a grouped markdown table."""
-    dicts = [r.to_dict() if isinstance(r, BenchRecord) else dict(r) for r in records]
+    """Render bench records, a list of BenchRecords or of their to_dict()
+    forms holding REPORT_COLUMNS, as json, csv or a grouped markdown table."""
+    if not isinstance(records, (list, tuple)):
+        raise ValueError(f"bench records must be a list, got {type(records).__name__}")
+    dicts = [r.to_dict() if isinstance(r, BenchRecord) else r for r in records]
+    for i, d in enumerate(dicts):
+        missing = [c for c in REPORT_COLUMNS if not isinstance(d, dict) or c not in d]
+        if missing:
+            raise ValueError(f"bench record {i} has no {missing[0]!r}")
     if fmt == "json":
         return json.dumps(dicts, indent=2)
     if fmt == "csv":
-        cols = [
-            "label", "p", "q", "n", "k", "reps",
-            "t_full_ms_mean", "t_full_ms_var",
-            "t_screened_ms_mean", "t_screened_ms_var",
-            "speedup_mean", "speedup_var", "safety_ok", "converged",
-        ]
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(cols)
+        writer.writerow(REPORT_COLUMNS)
         for d in dicts:
-            writer.writerow([d[c] for c in cols])
+            writer.writerow([d[c] for c in REPORT_COLUMNS])
         return buf.getvalue()
     if fmt == "markdown":
         lines = [

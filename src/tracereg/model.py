@@ -17,7 +17,7 @@ from scipy.linalg.lapack import dpocon
 
 # dpocon's reciprocal condition estimate of X X^T at or below which GramFactor
 # refuses the design. On 4 x 5, n = 10 designs it read 3e-9 to 6e-9 at a
-# singular value ratio of 1e-4 (Gram-route pilot within 4e-9 relative) and
+# singular value ratio of 1e-4 (Gram-route estimate within 4e-9 relative) and
 # 3e-11 to 6e-11 at 1e-5 (off by 5e-7; lstsq within 1e-11); the benchmark's
 # Gaussian and cross problems read 2e-8 and up.
 GRAM_RCOND = 1e-10
@@ -170,8 +170,8 @@ def _sym(m):
     return 0.5 * (m + m.T)
 
 
-def compute_weights(b_ls, gamma, n):
-    """Build the weight pair from the least-squares estimate.
+def compute_weights(estimate, gamma, n):
+    """Build the weight pair from the least-squares estimate B_ls.
 
     Singular values are padded with n^{-1/2} up to length p (left) and q
     (right); values below n^{-1/2} * SV_FLOOR_RTOL are floored there before
@@ -181,9 +181,9 @@ def compute_weights(b_ls, gamma, n):
         raise ValueError(f"gamma must be in (0, 1], got {gamma}")
     if n <= 0:
         raise ValueError(f"n must be positive, got {n}")
-    b_ls = np.asarray(b_ls, dtype=float)
-    p, q = b_ls.shape
-    U, s, Vt = np.linalg.svd(b_ls, full_matrices=True)
+    estimate = np.asarray(estimate, dtype=float)
+    p, q = estimate.shape
+    U, s, Vt = np.linalg.svd(estimate, full_matrices=True)
     pad = n ** -0.5
     floor = pad * SV_FLOOR_RTOL
 

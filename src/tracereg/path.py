@@ -118,7 +118,7 @@ class PathRecord:
     solution: Solution
     rank: int
     solve_time_ms: float
-    screen_time_ms: float = 0.0
+    screen_time_ms: float = 0.0   # screen, restriction and the SVD of B
     screened_rows: int = 0
     screened_cols: int = 0
     kept_dims: tuple = None
@@ -206,9 +206,9 @@ def _run_path(mode, problem, weights, schedule, config, warm_start, epsilon=None
     by cache.coordinates, and every level is certified by the same gap test
     whatever it starts from. The screened mode starts at lambda_max too: its
     dual solution there is -y/(n lambda_max), and any orthogonal bases are
-    singular bases of B = 0 (the pilot's are taken). Every level is screened
-    from the level solved before it, with that level's dual estimate and the
-    full singular bases of its B.
+    singular bases of B = 0 (the least-squares estimate's are taken). Each
+    level is screened from the one solved before it: its dual estimate and
+    the full singular bases of its B, an SVD timed as screening.
     """
     config = config or AdmmConfig()
     screening = mode == "screened"
@@ -217,8 +217,7 @@ def _run_path(mode, problem, weights, schedule, config, warm_start, epsilon=None
     base = make_instance(problem, weights, schedule.values[0])
     cache = precompute(base)
     if screening:
-        b_ls = min_norm_least_squares(problem, gram)
-        bases = svd(b_ls, full=True)
+        bases = svd(min_norm_least_squares(problem, gram), full=True)
         lam_prev = cache.lambda_max
         theta_prev = -problem.y / (problem.n * lam_prev)
     setup_ms = (time.perf_counter() - t0) * 1e3
@@ -231,10 +230,8 @@ def _run_path(mode, problem, weights, schedule, config, warm_start, epsilon=None
         screened, kept = (0, 0), (problem.p, problem.q)
         if screening:
             t0 = time.perf_counter()
-            context = ScreenContext(
-                lambda0=lam_prev, lam=lam, theta_prev=theta_prev,
-                problem=problem, gram=gram, U=bases.U_full, V=bases.V_full, b_ls=b_ls,
-            )
+            context = ScreenContext(lambda0=lam_prev, lam=lam, theta_prev=theta_prev,
+                                    gram=gram, U=bases.U_full, V=bases.V_full)
             outcome = screen(context, epsilon=epsilon)
             screened = (int(outcome.screened_rows.size), int(outcome.screened_cols.size))
             kept = (int(outcome.kept_rows.size), int(outcome.kept_cols.size))
@@ -253,7 +250,9 @@ def _run_path(mode, problem, weights, schedule, config, warm_start, epsilon=None
         # on the screened path the full singular bases of B feed the next
         # screen, along with the record's dual estimate
         if screening:
+            t0 = time.perf_counter()
             bases = svd(sol.B, full=True, rtol=RANK_RTOL)
+            screen_ms += (time.perf_counter() - t0) * 1e3
         record = PathRecord(
             lam=lam,
             solution=sol,

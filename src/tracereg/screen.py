@@ -23,11 +23,16 @@ coefficient of the next solution is bounded by
 
 with gamma = n lambda (X X^T)^{-1} X vec(u_j v_k^T) and f_opt an upper
 bound on the maximum of <gamma, .> over Omega (exact away from
-degenerate plane-ball geometry). Rows and columns whose W entries all
-vanish are dropped from the problem. That leaves the solution unchanged
-only when W bounds it, which needs vec(B) in the row space of the design
-(true for every B when n = pq); for n < pq converged paths exceed W in
-either order (see the path oracle tests in tests/test_screen.py).
+degenerate plane-ball geometry). As B_ls = X^T (X X^T)^{-1} y,
+
+    <B_ls, u_j v_k^T> = y^T (X X^T)^{-1} X vec(u_j v_k^T) = <y, gamma>/(n lambda),
+
+so the rule reads the base term from gamma and never forms B_ls. Rows and
+columns whose W entries all vanish are dropped from the problem. The bound
+needs the coefficient to equal <gamma, theta + y/(n lambda)>, which holds
+only when vec(B) lies in the row space of the design (for every B when
+n = pq); for n < pq converged paths exceed W in either order (see the path
+oracle tests in tests/test_screen.py).
 """
 
 from __future__ import annotations
@@ -35,8 +40,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .model import min_norm_least_squares
 
 # screening threshold: entries of W below eps * (1 + max |W|) count as zero
 DEFAULT_EPSILON_REL = 1e-9
@@ -58,17 +61,9 @@ class ScreenContext:
     lambda0: float
     lam: float
     theta_prev: np.ndarray   # dual solution (estimate) at lambda0
-    problem: object
-    gram: object             # GramFactor of the problem
+    gram: object             # GramFactor; gram.problem holds X and y
     U: np.ndarray            # p x p left singular basis of B(lambda0)
     V: np.ndarray            # q x q right singular basis of B(lambda0)
-    b_ls: np.ndarray | None = None   # the minimum-norm pilot; None computes it
-
-    def pilot(self):
-        """The minimum-norm least-squares B_ls, as given or computed."""
-        if self.b_ls is not None:
-            return self.b_ls
-        return min_norm_least_squares(self.problem, self.gram)
 
     def __post_init__(self):
         if not (self.lambda0 > 0.0 and self.lam > 0.0 and self.lambda0 != self.lam):
@@ -76,7 +71,7 @@ class ScreenContext:
                 "need positive lambda0 != lam, "
                 f"got lambda0={self.lambda0}, lam={self.lam}"
             )
-        p, q = self.problem.p, self.problem.q
+        p, q = self.gram.problem.p, self.gram.problem.q
         for name, mat, dim in (("U", self.U, p), ("V", self.V, q)):
             if mat.shape != (dim, dim):
                 raise ValueError(f"{name} must be {dim} x {dim}, got {mat.shape}")
@@ -96,8 +91,7 @@ class ScreenScalars:
 
 def compute_scalars(context):
     theta0 = np.asarray(context.theta_prev, dtype=float)
-    y = context.problem.y
-    n = context.problem.n
+    y, n = context.gram.problem.y, context.gram.problem.n
     alpha = theta0 + y / (n * context.lambda0)
     shifted = theta0 + y / (n * context.lam)
     return ScreenScalars(
@@ -155,16 +149,16 @@ def _f_opt_batch(gammas, scalars):
 
 def gamma_for(context, scalars, j, k):
     """gamma for one (u_j, v_k) pair: n lam (X X^T)^{-1} X vec(u_j v_k^T)."""
-    u = context.U[:, j]
-    v = context.V[:, k]
-    z = (context.problem.X @ v) @ u
-    return context.problem.n * context.lam * context.gram.solve(z)
+    problem = context.gram.problem
+    z = (problem.X @ context.V[:, k]) @ context.U[:, j]
+    return problem.n * context.lam * context.gram.solve(z)
 
 
 def p_values(context, scalars, j, k):
-    """(P1, P2) for one coefficient; W[j, k] = max(P1, P2)."""
-    base = float(context.U[:, j] @ context.pilot() @ context.V[:, k])
+    """(P1, P2) for one coefficient, base term <y, gamma>/(n lam); W = max(P1, P2)."""
+    problem = context.gram.problem
     gamma = gamma_for(context, scalars, j, k)
+    base = float(problem.y @ gamma) / (problem.n * context.lam)
     return base + f_opt(gamma, scalars), -base + f_opt(-gamma, scalars)
 
 
@@ -184,17 +178,17 @@ def screen(context, epsilon=None):
     All pq bounds are computed in one batch. The Gram factor holds the
     solved designs A_i = ((X X^T)^{-1} X)_i once per problem, and rotating
     them, U^T A_i V, gives every (X X^T)^{-1} X vec(u_j v_k^T) at once, so
-    a level costs one rotation and no Gram solve. The path solves the level
-    on the kept columns of U and V (FactorCache.restrict).
+    a level costs one rotation and no Gram solve, base terms included. The
+    path solves the level on the kept columns of U and V (FactorCache.restrict).
     """
-    problem = context.problem
+    problem = context.gram.problem
     n, p, q = problem.n, problem.p, problem.q
     scalars = compute_scalars(context)
 
     a_rot = np.matmul(np.matmul(context.U.T, context.gram.solved_designs), context.V)
+    # column j + k p is (X X^T)^{-1} X vec(u_j v_k^T), the F order of W
     gammas = n * context.lam * a_rot.transpose(0, 2, 1).reshape(n, p * q)
-
-    base = (context.U.T @ context.pilot() @ context.V).reshape(-1, order="F")
+    base = problem.y @ gammas / (n * context.lam)
 
     p1 = base + _f_opt_batch(gammas, scalars)
     p2 = -base + _f_opt_batch(-gammas, scalars)

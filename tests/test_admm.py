@@ -287,7 +287,7 @@ def test_face_corrected_dual_is_a_lower_bound(p, q, n, seed, ratio, skipped):
     for max_iter in range(1, 41):
         sol = solve(inst, AdmmConfig(max_iter=max_iter), cache=cache)
         assert sol.objective - sol.gap * y_sq <= top
-        c = cache.coordinates(sol.final_state)
+        c = cache.coordinates(sol.B)
         radial = tracereg.admm._certificate(inst, cache, cache.Z @ vec(c))
         face = tracereg.admm._face_certificate(inst, cache, radial)
         # the correction needs k^2 <= n for the k singular values of the
@@ -317,7 +317,7 @@ def test_solve_objective_eventually_decreases():
     early = solve(inst, AdmmConfig(tol_primal=1e-10, tol_dual=1e-10, max_iter=10))
     assert sol.iters > early.iters == 10
     assert sol.objective <= early.objective + 1e-10
-    assert abs(sol.objective - objective_value(inst, sol.final_state)) <= 1e-12 * (
+    assert abs(sol.objective - objective_value(inst, sol.B)) <= 1e-12 * (
         1.0 + abs(sol.objective)
     )
 

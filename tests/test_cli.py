@@ -381,6 +381,37 @@ def test_report_round_trip(tmp_path, capsys):
     assert json.loads(report_file.read_text())[0]["label"] == "(3, 4)"
 
 
+@pytest.mark.parametrize("records, message", [
+    ([{"label": "x"}], "bench record 0 has no 'p'"),
+    ({"label": "x"}, "bench records must be a list, got dict"),
+], ids=["missing-keys", "object"])
+@pytest.mark.parametrize("fmt", ["markdown", "csv"])
+def test_report_rejects_malformed_records(tmp_path, capsys, records, message, fmt):
+    path = tmp_path / "records.json"
+    path.write_text(json.dumps(records))
+    code, out, err = run_cli(capsys, "report", "--records", str(path), "--format", fmt)
+    assert code == EXIT_INPUT
+    assert out == "" and err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["path"],
+    ["solve", "--manifest", "problem.json", "--lam", "abc"],
+    ["path", "--manifest", "problem.json", "--k", "notanint"],
+], ids=["missing-manifest", "lam-not-a-number", "k-not-an-int"])
+def test_usage_errors_exit_as_bad_input(capsys, argv):
+    # argparse's own exit code, 2, would read as non-convergence
+    code, _, err = run_cli(capsys, *argv)
+    assert code == EXIT_INPUT
+    assert "usage: tracereg" in err
+
+
+def test_help_exits_ok(capsys):
+    code, out, _ = run_cli(capsys, "--help")
+    assert code == EXIT_OK
+    assert out.startswith("usage: tracereg")
+
+
 def test_bad_grid_ratio_is_input_error(tmp_path, capsys):
     manifest = generate(capsys, tmp_path)
     code, _, err = run_cli(capsys, "path", "--manifest", manifest,

@@ -412,6 +412,18 @@ def test_report_markdown_groups_repeated_labels():
     assert lines[4].startswith("| (25, 30) | 30 |")
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv", "markdown"])
+def test_report_refuses_malformed_records(fmt):
+    good = fake_record("(3, 4)", 6, 10.0, 5.0)
+    with pytest.raises(ValueError, match="bench record 1 has no 't_full_ms_mean'"):
+        report([good, {k: v for k, v in good.to_dict().items() if k != "t_full_ms_mean"}],
+               fmt=fmt)
+    with pytest.raises(ValueError, match="bench record 0 has no 'label'"):
+        report(["(3, 4)"], fmt=fmt)
+    with pytest.raises(ValueError, match="bench records must be a list, got dict"):
+        report(good.to_dict(), fmt=fmt)
+
+
 def test_report_unknown_format():
     with pytest.raises(ValueError, match="unknown report format 'tex'"):
         report([fake_record("(3, 4)", 6, 10.0, 5.0)], fmt="tex")

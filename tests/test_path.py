@@ -1,6 +1,7 @@
 """Lambda grids and the two solution paths, plus their comparison."""
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -191,6 +192,20 @@ def test_screened_path_solves_the_gram_system_once(monkeypatch):
     assert shapes == [(problem.n,), (problem.n, problem.p * problem.q)]
 
 
+def test_screen_time_counts_the_svd_of_each_level(monkeypatch):
+    # the SVD of each level's B feeds the next screen; it is screening work
+    real_svd = tracereg.path.svd
+
+    def slow_svd(*args, **kwargs):
+        time.sleep(0.002)
+        return real_svd(*args, **kwargs)
+
+    problem, weights, sched, gram = small_case(seed=1)
+    monkeypatch.setattr(tracereg.path, "svd", slow_svd)
+    result = screened_path(problem, weights, sched, gram=gram)
+    assert all(r.screen_time_ms >= 2.0 for r in result.records)
+
+
 def test_records_read_their_solution():
     problem, weights, sched, gram = small_case(seed=1)
     kinds = set()
@@ -344,7 +359,7 @@ def test_partial_screening_embeds_exact_zero_directions():
     u, _, vt = np.linalg.svd(sol1.B, full_matrices=True)
     context = ScreenContext(
         lambda0=float(sched.values[0]), lam=float(sched.values[1]),
-        theta_prev=theta1, problem=problem, gram=gram, U=u, V=vt.T,
+        theta_prev=theta1, gram=gram, U=u, V=vt.T,
     )
     w = screen(context).W
     eps = float(np.percentile(np.max(np.abs(w), axis=1), 60.0))

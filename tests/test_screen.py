@@ -1,8 +1,5 @@
 """Screening rule: region geometry, the coefficient bounds, reduction."""
 
-import dataclasses
-import importlib
-
 import numpy as np
 import pytest
 
@@ -33,9 +30,6 @@ from tracereg.screen import DEFAULT_EPSILON_REL, _f_opt_batch, gamma_for, p_valu
 
 TIGHT = AdmmConfig(tol_primal=1e-8, tol_dual=1e-8)
 
-# the package exports the function screen under the module's name
-screen_module = importlib.import_module("tracereg.screen")
-
 
 def pipeline_context(seed, p=4, q=6, n=12, r0=0.35, r1=0.6):
     """Real screening step: solve at lambda0, carry its dual and bases."""
@@ -48,15 +42,14 @@ def pipeline_context(seed, p=4, q=6, n=12, r0=0.35, r1=0.6):
     theta0 = (problem.stacked @ vec(sol0.B) - problem.y) / (problem.n * lam0)
     u, _, vt = np.linalg.svd(sol0.B, full_matrices=True)
     context = ScreenContext(
-        lambda0=lam0, lam=lam, theta_prev=theta0,
-        problem=problem, gram=gram, U=u, V=vt.T,
+        lambda0=lam0, lam=lam, theta_prev=theta0, gram=gram, U=u, V=vt.T,
     )
     return context, problem, weights
 
 
 def restricted_level(context, weights, outcome):
     """The level's instance and the path's cache restricted to the kept directions."""
-    instance = make_instance(context.problem, weights, context.lam)
+    instance = make_instance(context.gram.problem, weights, context.lam)
     cache = precompute(instance).restrict(
         instance, context.U[:, outcome.kept_rows], context.V[:, outcome.kept_cols])
     return instance, cache
@@ -66,8 +59,7 @@ def identity_context(problem, gram, lam0, lam, theta=None):
     return ScreenContext(
         lambda0=lam0, lam=lam,
         theta_prev=np.zeros(problem.n) if theta is None else theta,
-        problem=problem, gram=gram,
-        U=np.eye(problem.p), V=np.eye(problem.q),
+        gram=gram, U=np.eye(problem.p), V=np.eye(problem.q),
     )
 
 
@@ -189,8 +181,7 @@ def test_previous_dual_sits_on_the_ball_inside_the_halfspace():
 def test_context_validation():
     problem, _ = gen_gaussian(GaussianSpec(p=2, q=3, n=4, seed=5))
     weights, _, gram = prepare(problem, k=2)
-    ok = dict(theta_prev=np.zeros(4), problem=problem, gram=gram,
-              U=np.eye(2), V=np.eye(3))
+    ok = dict(theta_prev=np.zeros(4), gram=gram, U=np.eye(2), V=np.eye(3))
     for lam0, lam in ((0.0, 1.0), (-1.0, 1.0), (1.0, 1.0), (1.0, 0.0)):
         with pytest.raises(ValueError, match="need positive lambda0 != lam"):
             ScreenContext(lambda0=lam0, lam=lam, **ok)
@@ -399,13 +390,12 @@ def test_path_bound_covers_the_converged_next_solution(seed):
     oracle = AdmmConfig(tol_primal=1e-10, tol_dual=1e-10)
     records = full_path(problem, weights, schedule, oracle, warm_start=True).records
     assert all(r.converged for r in records)
-    b_ls = min_norm_least_squares(problem, gram)
     violations = []
     for prev, cur in zip(records[1:-1], records[2:]):
         bases = svd(prev.solution.B, full=True, rtol=RANK_RTOL)
         context = ScreenContext(
             lambda0=prev.lam, lam=cur.lam, theta_prev=prev.theta,
-            problem=problem, gram=gram, U=bases.U_full, V=bases.V_full, b_ls=b_ls,
+            gram=gram, U=bases.U_full, V=bases.V_full,
         )
         w = screen(context).W
         excess = np.abs(bases.U_full.T @ cur.solution.B @ bases.V_full) - w
@@ -446,7 +436,7 @@ def test_descending_bound_covers_the_converged_next_solution(p, q, n, seed):
     for cur in records[::-1]:
         context = ScreenContext(
             lambda0=lam0, lam=cur.lam, theta_prev=theta0,
-            problem=problem, gram=gram, U=bases.U_full, V=bases.V_full, b_ls=b_ls,
+            gram=gram, U=bases.U_full, V=bases.V_full,
         )
         w = screen(context).W
         excess = np.abs(bases.U_full.T @ cur.solution.B @ bases.V_full) - w
@@ -472,19 +462,41 @@ def test_screen_batch_matches_per_pair_bounds():
             assert abs(outcome.W[j, k] - expected) <= 1e-12 * scale
 
 
-def test_screen_uses_the_given_pilot(monkeypatch):
-    # a context carrying B_ls gives the same bounds without recomputing it
-    context, problem, _ = pipeline_context(1, p=3, q=4, n=8)
-    outcome = screen(context)
-    given = dataclasses.replace(
-        context, b_ls=min_norm_least_squares(problem, context.gram))
-    calls = []
-    monkeypatch.setattr(screen_module, "min_norm_least_squares",
-                        lambda *a: calls.append(1) or min_norm_least_squares(*a))
-    assert np.array_equal(screen(given).W, outcome.W)
-    assert calls == []
-    screen(context)
-    assert calls == [1]
+@pytest.mark.parametrize("p, q, n", [(3, 4, 8), (4, 4, 16)])
+def test_screen_reads_the_base_term_from_gamma(monkeypatch, p, q, n):
+    # <B_ls, u_j v_k^T> = <y, gamma>/(n lam): the first screen on a fresh
+    # factor solves the designs, no screen solves the response, and at every
+    # step of a path W and p_values match the bounds with base U^T B_ls V
+    problem, _ = gen_gaussian(GaussianSpec(p=p, q=q, n=n, seed=2))
+    weights, schedule, gram = prepare(problem, k=5)
+    b_ls = min_norm_least_squares(problem, gram)
+    records = full_path(problem, weights, schedule, warm_start=True).records
+    lam0 = lambda_max(problem, weights)
+    theta0, bases = -problem.y / (n * lam0), svd(b_ls, full=True)
+
+    real_solve = GramFactor.solve
+    shapes = []
+    monkeypatch.setattr(GramFactor, "solve",
+                        lambda self, z: shapes.append(np.shape(z)) or real_solve(self, z))
+    fresh = GramFactor(problem)
+    for cur in records[::-1]:
+        context = ScreenContext(lambda0=lam0, lam=cur.lam, theta_prev=theta0,
+                                gram=fresh, U=bases.U_full, V=bases.V_full)
+        shapes.clear()
+        w = screen(context).W
+        assert shapes == ([(n, p * q)] if cur is records[-1] else [])
+        s = compute_scalars(context)
+        base = bases.U_full.T @ b_ls @ bases.V_full
+        tol = 1e-14 * (1.0 + np.max(np.abs(w)))
+        for j in range(p):
+            for k in range(q):
+                u, v = bases.U_full[:, j], bases.V_full[:, k]
+                gamma = n * cur.lam * gram.solve(problem.stacked @ vec(np.outer(u, v)))
+                ref = (base[j, k] + f_opt(gamma, s), -base[j, k] + f_opt(-gamma, s))
+                assert abs(w[j, k] - max(ref)) <= tol
+                np.testing.assert_allclose(p_values(context, s, j, k), ref, rtol=0, atol=tol)
+        lam0, theta0 = cur.lam, cur.theta
+        bases = svd(cur.solution.B, full=True, rtol=RANK_RTOL)
 
 
 def test_screen_bound_matrix_nonnegative():
