@@ -3,7 +3,9 @@
 The path solves the grid top-down, from lambda_max * ratio to
 lambda_max * ratio^K, warm starting each level from the solutions of the
 levels above it, and prints it in ascending lambda; the weighted nuclear
-norm of the solution shrinks as the penalty grows.
+norm of the solution shrinks as the penalty grows. The newton column counts
+the solver's Newton steps on each level's identified rank (two per polish
+tried; see tracereg.admm.NEWTON_STEPS).
 """
 
 import numpy as np
@@ -21,13 +23,13 @@ weights, schedule, _ = prepare(problem, k=12)
 
 result = full_path(problem, weights, schedule, warm_start=True)
 
-print("lambda      rank  iters  objective   penalty     error")
+print("lambda      rank  iters  newton  objective   penalty     error")
 for rec in result.records:
     sol = rec.solution
     penalty = nuclear_norm(weights.W1 @ sol.B @ weights.W2)
     err = np.linalg.norm(sol.B - b_true) / np.linalg.norm(b_true)
     print(
-        f"{rec.lam:10.6f}  {rec.rank:4d}  {rec.iters:5d}  {sol.objective:9.6f}"
+        f"{rec.lam:10.6f}  {rec.rank:4d}  {rec.iters:5d}  {sol.newton_steps:6d}  {sol.objective:9.6f}"
         f"  {penalty:9.6f}  {err:8.3f}"
     )
 print(f"\ntotal wall time {result.total_ms:.0f} ms for {len(result.records)} levels")

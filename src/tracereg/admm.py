@@ -29,8 +29,8 @@ steps; Solution.backtracks counts the rejected trials. On the benchmark's
 warm full paths, walked from lambda_max down with each level started from
 path.extrapolate, the prox count falls from 925 / 1 050 / 1 110 (Gaussian
 15 x 45, n = 30, seeds 0-2), 290 and 950 (cross 32 x 32, n = 10 and 100)
-at the fixed step 1/L to 754 / 722 / 751, 215 and 654, every level
-certified.
+at the fixed step 1/L to 754 / 722 / 751, 215 and 654 before the Newton
+polish below, every level certified.
 
 The iterate is held transposed so that vec is a view, and the loop updates
 preallocated buffers in place. Every CHECK_EVERY iterations _check
@@ -57,6 +57,22 @@ norm is computed exactly, so that point is feasible too and D stays a
 lower bound. With the radial point alone the warm full paths above took
 1 239 / 917 / 1 068, 295 and 798 prox evaluations.
 
+Most failed checks late in a solve fail on first-order stationarity, not on
+the rank: before the polish below, 104 of 122 failed checks on the warm
+Gaussian path (seed 0) failed on dual infeasibility, and 112 of 113 on
+cross 32 x 32 n = 100. So after a
+failed check that passes FACE_GATE's gap test, with the prox's kept rank
+r >= 1 unchanged since the previous check, the iterate is polished on its
+rank-r face: factored as C = A B^T, it takes NEWTON_STEPS damped Newton
+steps on the factored objective of Burer & Monteiro (Math. Program. 2003),
+a manifold acceleration in the sense of Bareilles, Iutzeler & Malick
+(Math. Program. 2022), and A B^T is certified by the same _check. A pass
+returns it (Solution.primal_kind "newton"); otherwise FISTA goes on from
+its own iterate with its momentum. The warm full paths above then take
+227 / 217 / 215, 100 and 178 prox evaluations, with 10 / 13 / 14, 10 and 10
+levels certified on the polished point; at tolerance 1e-8 the Gaussian
+paths take 376 / 248 / 268.
+
 The unreduced problem has Xt_i = X_i and M1, M2 = W1, W2. A screened level
 runs on FactorCache.restrict, C = Q_L C' Q_R^T on the designs Q_L^T Z_i Q_R;
 solutions always come back in the original p x q coordinates.
@@ -75,7 +91,13 @@ import scipy.linalg
 from scipy.linalg import lapack
 
 from .model import unvec, vec
-from .prox import nuclear_norm, prox_nuclear, singular_pairs_above, spectral_norm
+from .prox import (
+    _check_info,
+    nuclear_norm,
+    prox_nuclear,
+    singular_pairs_above,
+    spectral_norm,
+)
 
 # iterations between two certificate checks
 CHECK_EVERY = 5
@@ -95,6 +117,8 @@ TRIANGULAR_RTOL = np.finfo(float).eps
 TINY = np.finfo(float).tiny
 
 _posv = lapack.dposv
+_potrf = lapack.dpotrf
+_potrs = lapack.dpotrs
 
 # the face-corrected dual point (_face_certificate) moves the residual onto
 # the face spanned by the singular pairs of G with sigma > (1 - FACE_DELTA)
@@ -119,8 +143,28 @@ FACE_DELTA = 1e-2
 #   100          754 / 722 / 751, 215, 654      (26 / 19 / 17, 15, 7)
 #   no gate      754 / 722 / 741, 215, 654      (36 / 22 / 19, 17, 8)
 # Without the gate the benchmark's Gaussian cold solves at 0.3 lambda_max
-# ran corrections that saved no prox step; at 100 they run none.
+# ran corrections that saved no prox step; at 100 they run none. (All of
+# these counts were measured before the Newton polish below.)
 FACE_GATE = 100.0
+
+# after a failed check whose gap passes the same gate, with the prox's kept
+# rank r >= 1 unchanged since the previous check, the solver factors the
+# iterate as C = A B^T on rank r and takes NEWTON_STEPS damped Newton steps
+# on phi(A, B) = ||Z vec(A B^T) - y||^2/2n + lambda (||A||_F^2 + ||B||_F^2)/2
+# (_newton_point), then checks A B^T. Prox evaluations on the warm full
+# paths of Gaussian 15 x 45 n = 30 (seeds 0-2) and cross 32 x 32 (n = 10,
+# 100) with one, two and three steps: 331 / 252 / 257, 100, 251; 227 / 217 /
+# 215, 100, 178; 210 / 212 / 215, 100, 178. Three steps were slower in wall
+# time on four of the five paths (best of 7). The Hessian's curvature term
+# lambda I is raised to
+# lambda' = lambda + (||G||_2 - lambda)_+ + NEWTON_DAMPING lambda, which makes
+# it positive definite whatever the rotation gauge (A Omega, B Omega) does,
+# so one Cholesky factorization per step suffices. A try (two steps and the
+# check) costs 0.8-1.0 ms at 15 x 45 (r = 3), 0.7-0.9 ms at 32 x 32 n = 10
+# (r = 1), and 1.5-1.6 ms (r = 1) to 3.9-5.3 ms (r = 8) at 32 x 32 n = 100,
+# with one BLAS thread on a shared 2-core machine.
+NEWTON_STEPS = 2
+NEWTON_DAMPING = 1e-10
 
 
 @dataclass(frozen=True)
@@ -215,6 +259,7 @@ class FactorCache:
     """
 
     q_left = q_right = None
+    _z_rows = None
 
     def __init__(self, instance):
         n, d1, d2 = instance.n, instance.d1, instance.d2
@@ -251,8 +296,21 @@ class FactorCache:
         zt = self.Z.reshape(instance.n, self.d2, self.d1)
         zt = np.matmul(np.matmul(restricted.q_right.T, zt), restricted.q_left)
         restricted.Z = zt.reshape(instance.n, restricted.d1 * restricted.d2)
+        restricted._z_rows = None
         restricted._measure(instance.y)
         return restricted
+
+    def z_rows(self):
+        """The designs Z_i row-major, (n d1) x d2, built on first use.
+
+        Z holds Z_i^T row-major, so Z seen as (n d2) x d1 gives every Z_i^T A
+        in one product; this layout does the same for every Z_i B.
+        """
+        if self._z_rows is None:
+            n = self.Z.shape[0]
+            rows = self.Z.reshape(n, self.d2, self.d1).transpose(0, 2, 1)
+            self._z_rows = np.ascontiguousarray(rows).reshape(n * self.d1, self.d2)
+        return self._z_rows
 
     def coordinates(self, theta_mat):
         """C = R1 Theta R2^T, or C' = Q_L^T C Q_R on a restriction."""
@@ -286,6 +344,8 @@ class Solution:
     # has dual gauge <= 1 and D = ||y||^2/2n - ||n t + y||^2/2n
     dual_point: np.ndarray
     dual_kind: str         # "radial" (r/n scaled) or "face" (corrected, then scaled)
+    newton_steps: int      # Newton steps run, NEWTON_STEPS per polish tried
+    primal_kind: str       # "iterate" (FISTA's) or "newton" (the polished point)
 
 
 def objective_value(instance, theta_mat):
@@ -372,6 +432,11 @@ def _face_certificate(instance, cache, certificate):
     return certificate._replace(gradient=gradient, point=point, dual=dual, kind="face")
 
 
+def _unscaled_gap(instance, certificate, zc, nuclear):
+    """P - D at the unscaled residual r = zc - y, relative; not a bound, as r is infeasible."""
+    return certificate.gap(nuclear, certificate.y_sq - 0.5 / instance.n * float(zc @ zc))
+
+
 def _check(instance, cache, zc, c, estimate, config):
     """Certify the iterate c with Z vec(c) = zc: (certificate, ||c||_*, passed).
 
@@ -399,9 +464,7 @@ def _check(instance, cache, zc, c, estimate, config):
 
     if passes(certificate):
         return certificate, nuclear, True
-    # D at the unscaled residual r, where r + y = zc
-    unscaled = certificate.y_sq - 0.5 / instance.n * float(zc @ zc)
-    if certificate.gap(nuclear, unscaled) > FACE_GATE * config.tol_primal:
+    if _unscaled_gap(instance, certificate, zc, nuclear) > FACE_GATE * config.tol_primal:
         return certificate, nuclear, False
     face = _face_certificate(instance, cache, certificate)
     if face is None or face.dual <= certificate.dual:
@@ -409,13 +472,126 @@ def _check(instance, cache, zc, c, estimate, config):
     return face, nuclear, passes(face)
 
 
+def _newton_point(instance, cache, c, rank):
+    """C = A B^T after NEWTON_STEPS damped Newton steps from c's rank-r factors.
+
+    c is the iterate as the solver holds it, C^T. The start is the balanced
+    pair A = U_r S_r^(1/2), B = V_r S_r^(1/2) of C's thin SVD, where
+    ||C||_* = (||A||_F^2 + ||B||_F^2)/2. Returns (A B^T)^T and Z vec(A B^T),
+    or None when a Cholesky factorization fails: the damping is relative to
+    lambda, so at lambda far below lambda_max rounding in J^T J/n can
+    outweigh it (Gaussian 4 x 4, n = 16, below 1e-5 lambda_max).
+    """
+    # c = U S V^T is C^T, so C = V S U^T
+    u, s, vt = np.linalg.svd(c, full_matrices=False)
+    root = np.sqrt(s[:rank])
+    a, b = vt[:rank].T * root, u[:, :rank] * root
+    try:
+        for _ in range(NEWTON_STEPS):
+            a, b = _newton_step(instance, cache, a, b)
+    except np.linalg.LinAlgError:
+        return None
+    polished = b @ a.T
+    return polished, cache.Z @ polished.ravel()
+
+
+def _newton_step(instance, cache, a, b):
+    """One damped Newton step on phi(A, B) (see NEWTON_STEPS); the new (A, B).
+
+    With rho = Z vec(A B^T) - y and G = unvec(Z^T rho)/n, the gradient is
+    g = (G B + lambda A, G^T A + lambda B) and the damped Hessian is
+    H = J^T J/n + D: row i of J is (vec(Z_i B), vec(Z_i^T A)) and
+    D(P, Q) = (lambda' P + G Q, G^T P + lambda' Q), so D >= NEWTON_DAMPING
+    lambda I. H (P, Q) = -g is solved through the smaller system: H itself
+    when n >= r (d1 + d2) (_dense_direction), else the n-square one of
+    Woodbury's identity (_woodbury_direction). P and Q are flattened
+    row-major, d1 x r then d2 x r.
+    """
+    n, lam, y = instance.n, instance.lam, instance.y
+    d1, d2 = cache.d1, cache.d2
+    rank = a.shape[1]
+    z = cache.Z
+    rho = z @ (b @ a.T).ravel() - y
+    g = unvec(z.T @ rho, d1, d2) / n
+    rhs = -np.concatenate([(g @ b + lam * a).ravel(), (g.T @ a + lam * b).ravel()])
+    # the two halves of J, rows (Z_i B)[a, k] and (Z_i^T A)[b, k]
+    jac_a = (cache.z_rows() @ b).reshape(n, d1 * rank)
+    jac_b = (z.reshape(n * d2, d1) @ a).reshape(n, d2 * rank)
+    shift = lam + max(spectral_norm(g) - lam, 0.0) + NEWTON_DAMPING * lam
+    direction = _dense_direction if n >= rank * (d1 + d2) else _woodbury_direction
+    step = direction(g, jac_a, jac_b, shift, rhs)
+    return a + step[:d1 * rank].reshape(d1, rank), b + step[d1 * rank:].reshape(d2, rank)
+
+
+def _dense_direction(g, jac_a, jac_b, shift, rhs):
+    """H^-1 rhs from the Cholesky factor of H, r (d1 + d2) square."""
+    n, rank = jac_a.shape[0], jac_a.shape[1] // g.shape[0]
+    split = jac_a.shape[1]
+    jac = np.hstack([jac_a, jac_b])
+    h = jac.T @ jac
+    h /= n
+    h[np.diag_indices(h.shape[0])] += shift
+    # G Q at (a, k) is sum_b G[a, b] Q[b, k]: the block kron(G, I_r)
+    coupling = np.kron(g, np.eye(rank))
+    h[:split, split:] += coupling
+    h[split:, :split] += coupling.T
+    return _spd_solve(h, rhs)
+
+
+def _woodbury_direction(g, jac_a, jac_b, shift, rhs):
+    """H^-1 rhs = s - D^-1 J^T (n I + J D^-1 J^T)^-1 J s, with s = D^-1 rhs.
+
+    D^-1 (P, Q) = (X, Y) with (lambda'^2 I - G G^T) X = lambda' P - G Q and
+    Y = (Q - G^T X)/lambda', through one Cholesky factor of the d1-square
+    matrix, positive definite as lambda' > ||G||_2. It is applied to column
+    stacks (d, m), so that each product is one GEMM.
+    """
+    (d1, d2), n = g.shape, jac_a.shape[0]
+    rank = jac_a.shape[1] // d1
+    shifted = -(g @ g.T)
+    shifted[np.diag_indices(d1)] += shift * shift
+    factor, info = _potrf(shifted, overwrite_a=1)
+    _check_info(info, "potrf")
+
+    def solve_d(p, q):
+        x, info = _potrs(factor, shift * p - g @ q, overwrite_b=1)
+        _check_info(info, "potrs")
+        return x, (q - g.T @ x) / shift
+
+    def columns(rows, d):
+        return rows.reshape(n, d, rank).transpose(1, 0, 2).reshape(d, n * rank)
+
+    def rows(columns, d):
+        return columns.reshape(d, n, rank).transpose(1, 0, 2).reshape(n, d * rank)
+
+    # D^-1 J^T, from the rows of J as column stacks and back
+    x, y = solve_d(columns(jac_a, d1), columns(jac_b, d2))
+    x, y = rows(x, d1), rows(y, d2)
+    small = jac_a @ x.T
+    small += jac_b @ y.T
+    small[np.diag_indices(n)] += n
+    p, q = solve_d(rhs[:d1 * rank].reshape(d1, rank), rhs[d1 * rank:].reshape(d2, rank))
+    p, q = p.ravel(), q.ravel()
+    u = _spd_solve(small, jac_a @ p + jac_b @ q)
+    return np.concatenate([p - x.T @ u, q - y.T @ u])
+
+
+def _spd_solve(m, rhs):
+    """m^-1 rhs for a symmetric positive definite m; both are overwritten."""
+    _, out, info = _posv(m, rhs, overwrite_a=1, overwrite_b=1)
+    _check_info(info, "posv")
+    return out
+
 def _next_momentum(t, ratio):
     """t_{k+1} = (1 + sqrt(1 + 4 t_k^2 L_{k+1} / L_k)) / 2, with ratio = L_{k+1} / L_k."""
     return 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t * ratio))
 
 
 def solve(instance, config=None, cache=None, warm_start=None):
-    """Run restarted FISTA to the certificate; never raises on non-convergence.
+    """Run restarted FISTA, with its Newton polish, to the certificate.
+
+    Never raises on non-convergence. The returned point is FISTA's iterate
+    or, when it certified first, the polished one (Solution.primal_kind).
 
     warm_start is Theta in the instance's coordinates: a previous
     Solution.B for an instance without embedding bases.
@@ -445,8 +621,11 @@ def solve(instance, config=None, cache=None, warm_start=None):
     # t_{k-1}; t_0 = 0 gives t_1 = 1, so the first two steps take no momentum
     momentum = 0.0
     spectrum = None
+    # the prox's kept rank at the last check, None when unknown
+    checked_rank = None
     converged = False
-    it = backtracks = 0
+    primal_kind = "iterate"
+    it = backtracks = newton_steps = 0
 
     while d1 * d2 and it < config.max_iter:
         it += 1
@@ -500,6 +679,19 @@ def solve(instance, config=None, cache=None, warm_start=None):
                 None if spectrum is None else float(spectrum.sum()), config)
             if converged:
                 break
+            rank = None if spectrum is None else spectrum.size
+            if rank and rank == checked_rank and _unscaled_gap(
+                    instance, certificate, zc, nuclear) <= FACE_GATE * config.tol_primal:
+                # polish on the rank-r face; FISTA's own state is left as it is
+                polished = _newton_point(instance, cache, c, rank)
+                newton_steps += NEWTON_STEPS
+                newton = polished and _check(instance, cache, polished[1], polished[0],
+                                             None, config)
+                if newton and newton[2]:
+                    certificate, nuclear, converged = newton
+                    c, primal_kind = polished[0], "newton"
+                    break
+            checked_rank = rank
 
     if not converged:
         # the returned iterate (cap, or no iterate), certified exactly
@@ -519,4 +711,6 @@ def solve(instance, config=None, cache=None, warm_start=None):
         dual_infeasibility=certificate.infeasibility,
         dual_point=certificate.point,
         dual_kind=certificate.kind,
+        newton_steps=newton_steps,
+        primal_kind=primal_kind,
     )

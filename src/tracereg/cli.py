@@ -115,6 +115,8 @@ def cmd_solve(args):
         "converged": solution.converged,
         "gap": solution.gap,
         "dual_kind": solution.dual_kind,
+        "newton_steps": solution.newton_steps,
+        "primal_kind": solution.primal_kind,
         "time_ms": solution.solve_time_ms,
         "primal_residual": solution.gap,
         "dual_residual": solution.dual_infeasibility,

@@ -21,8 +21,11 @@ the prox evaluations on the benchmark's warm full paths from 3 612 / 1 890
 / 2 186 (Gaussian 15 x 45, n = 30, seeds 0-2), 432 and 835 (cross 32 x 32,
 n = 10 and 100) with the last solution as start to 1 239 / 917 / 1 068, 295
 and 798. With the face-corrected dual point (admm.FACE_GATE) the paths take
-754 / 722 / 751, 215 and 654; each record's dual_kind says which point
-certified its level.
+754 / 722 / 751, 215 and 654, and with the Newton polish on each level's
+identified rank (admm.NEWTON_STEPS) 227 / 217 / 215, 100 and 178. Each
+record's dual_kind says which dual point certified its level, primal_kind
+whether FISTA's iterate or the polished point was certified, and
+newton_steps how many Newton steps the level ran.
 """
 
 from __future__ import annotations
@@ -150,6 +153,8 @@ class PathRecord:
             "converged": self.converged,
             "gap": self.gap,
             "dual_kind": self.solution.dual_kind,
+            "newton_steps": self.solution.newton_steps,
+            "primal_kind": self.solution.primal_kind,
             "time_ms": self.solve_time_ms,
             "screen_time_ms": self.screen_time_ms,
             "screened_rows": self.screened_rows,

@@ -126,10 +126,12 @@ def test_solve_payload(tmp_path, capsys):
     payload = json.loads(out)
     assert set(payload) == {
         "lambda", "objective", "rank", "iters", "converged", "gap", "dual_kind",
-        "time_ms", "primal_residual", "dual_residual", "B",
+        "newton_steps", "primal_kind", "time_ms", "primal_residual", "dual_residual", "B",
     }
     assert payload["converged"] is True
     assert payload["dual_kind"] in ("radial", "face")
+    assert payload["primal_kind"] in ("iterate", "newton")
+    assert payload["newton_steps"] >= 0
     # primal_residual is the relative duality gap, dual_residual the
     # relative dual infeasibility; both certify convergence at --tol
     assert payload["primal_residual"] == payload["gap"] <= 1e-6
@@ -190,11 +192,12 @@ def test_path_both_modes(tmp_path, capsys):
     rec = payload["records"][0]
     assert set(rec) == {
         "lambda", "objective", "rank", "iters", "backtracks", "converged", "gap",
-        "dual_kind", "time_ms", "screen_time_ms", "screened_rows", "screened_cols",
-        "kept_dims",
+        "dual_kind", "newton_steps", "primal_kind", "time_ms", "screen_time_ms",
+        "screened_rows", "screened_cols", "kept_dims",
     }
     assert all(r["gap"] <= 1e-6 for r in payload["records"])
     assert all(r["dual_kind"] in ("radial", "face") for r in payload["records"])
+    assert all(r["primal_kind"] in ("iterate", "newton") for r in payload["records"])
 
 
 def test_path_single_mode_totals(tmp_path, capsys):

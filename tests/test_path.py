@@ -222,6 +222,8 @@ def test_records_read_their_solution():
             assert d["kept_dims"] == list(rec.kept_dims)
             assert d["backtracks"] == sol.backtracks
             assert d["dual_kind"] == sol.dual_kind
+            assert d["newton_steps"] == sol.newton_steps
+            assert d["primal_kind"] == sol.primal_kind
             kinds.add(sol.dual_kind)
     assert kinds == {"radial", "face"}
 

@@ -379,7 +379,8 @@ def test_bounds_cover_solution_when_design_spans_everything():
 # Gaussian 15 x 45, n = 30, k = 20 (seeds 0-2) it misses 1-16 entries at
 # every level from the third, worst excesses 0.36 / 0.21 / 0.21. At n = pq
 # (4 x 4, n = 16) it held at every level.
-@pytest.mark.xfail(strict=True, reason="the sequential bound is violated when n < pq")
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the sequential bound is violated when n < pq")
 @pytest.mark.parametrize("seed", [0, 1])
 def test_path_bound_covers_the_converged_next_solution(seed):
     # oracle: rebuild the screened path's context at each level m >= 2 from
@@ -417,7 +418,8 @@ def test_path_bound_covers_the_converged_next_solution(seed):
     (4, 4, 16),
     (3, 5, 15),
     pytest.param(4, 6, 12, marks=pytest.mark.xfail(
-        strict=True, reason="the sequential bound is violated when n < pq")),
+        strict=True, raises=AssertionError,
+        reason="the sequential bound is violated when n < pq")),
 ])
 def test_descending_bound_covers_the_converged_next_solution(p, q, n, seed):
     # oracle: step from lambda_max (B = 0, theta = -y/(n lambda_max), the
