@@ -121,11 +121,24 @@ class GramFactor:
         """A_i of A = (stacked stacked^T)^{-1} stacked, as (n, p, q); solved on first use.
 
         The solve mixes rows and a rotation U^T A_i V mixes entries within
-        a row, so the two commute: the screening rule rotates A at every
-        level instead of solving the rotated designs again.
+        a row, so the two commute: the full bound matrix W (screen.bound_matrix)
+        rotates A instead of solving the rotated designs again. A screen that
+        its cross decides never reads A, so on the path A is solved only
+        when some level needs all of W.
         """
         n, p, q = self.problem.n, self.problem.p, self.problem.q
         return self.solve(self.problem.stacked).reshape(n, q, p).transpose(0, 2, 1)
+
+    @cached_property
+    def solved_designs_norm(self):
+        """||A||_F of the solved designs A, read from the factor; built on first use.
+
+        ||A||_F^2 = tr((stacked stacked^T)^{-1}) = ||L^{-1}||_F^2 for the
+        Cholesky factor L, so it takes one triangular solve of the identity
+        and no solve of the designs.
+        """
+        eye = np.eye(self.problem.n)
+        return float(np.linalg.norm(scipy.linalg.solve_triangular(self._cho[0], eye, lower=True)))
 
     def row_space_map(self, z):
         """stacked^T (stacked stacked^T)^{-1} z, the min-norm preimage."""

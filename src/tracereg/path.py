@@ -125,6 +125,7 @@ class PathRecord:
     screened_rows: int = 0
     screened_cols: int = 0
     kept_dims: tuple = None
+    bounds_evaluated: int = 0     # W entries the screen computed; 0 unscreened
 
     @property
     def theta(self):
@@ -160,6 +161,7 @@ class PathRecord:
             "screened_rows": self.screened_rows,
             "screened_cols": self.screened_cols,
             "kept_dims": list(self.kept_dims),
+            "bounds_evaluated": self.bounds_evaluated,
         }
 
 
@@ -232,7 +234,7 @@ def _run_path(mode, problem, weights, schedule, config, warm_start, epsilon=None
     for lam in schedule.values[::-1]:
         lam = float(lam)
         level_cache, screen_ms = cache, 0.0
-        screened, kept = (0, 0), (problem.p, problem.q)
+        screened, kept, bounds = (0, 0), (problem.p, problem.q), 0
         if screening:
             t0 = time.perf_counter()
             context = ScreenContext(lambda0=lam_prev, lam=lam, theta_prev=theta_prev,
@@ -240,6 +242,7 @@ def _run_path(mode, problem, weights, schedule, config, warm_start, epsilon=None
             outcome = screen(context, epsilon=epsilon)
             screened = (int(outcome.screened_rows.size), int(outcome.screened_cols.size))
             kept = (int(outcome.kept_rows.size), int(outcome.kept_cols.size))
+            bounds = outcome.bounds_evaluated
             if any(screened):
                 level_cache = cache.restrict(base, bases.U_full[:, outcome.kept_rows],
                                              bases.V_full[:, outcome.kept_cols])
@@ -267,6 +270,7 @@ def _run_path(mode, problem, weights, schedule, config, warm_start, epsilon=None
             screened_rows=screened[0],
             screened_cols=screened[1],
             kept_dims=kept,
+            bounds_evaluated=bounds,
         )
         records.append(record)
         lam_prev, theta_prev = lam, record.theta

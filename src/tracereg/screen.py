@@ -28,7 +28,9 @@ degenerate plane-ball geometry). As B_ls = X^T (X X^T)^{-1} y,
     <B_ls, u_j v_k^T> = y^T (X X^T)^{-1} X vec(u_j v_k^T) = <y, gamma>/(n lambda),
 
 so the rule reads the base term from gamma and never forms B_ls. Rows and
-columns whose W entries all vanish are dropped from the problem. The bound
+columns whose W entries all vanish are dropped from the problem; a screen
+first evaluates W's first column and first row, and builds the rest of W
+only when that cross does not already keep everything (see screen). The bound
 needs the coefficient to equal <gamma, theta + y/(n lambda)>, which holds
 only when vec(B) lies in the row space of the design (for every B when
 n = pq); for n < pq converged paths exceed W in either order (see the path
@@ -37,7 +39,8 @@ oracle tests in tests/test_screen.py).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -47,6 +50,14 @@ DEFAULT_EPSILON_REL = 1e-9
 # relative cutoff below which the two-case split is ill conditioned and
 # the sphere bound is used instead
 DEGENERATE_RTOL = 1e-12
+
+# slack, relative to 1 + bound_ceiling, by which every cross entry must clear
+# the threshold before the cross decides a screen. It covers the rounding by
+# which the cross and the full W evaluate one entry differently, so the cross
+# never decides a tie: at most 6.6e-14 (1 + max |W|) over 190 path steps on
+# Gaussian 15 x 45 n = 30, 4 x 4 n = 16, 4 x 6 and 3 x 4 n = 12 (seeds 0-2)
+# and cross 32 x 32 and 64 x 64 at n = 10 and 100
+CROSS_SLACK_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -162,47 +173,125 @@ def p_values(context, scalars, j, k):
     return base + f_opt(gamma, scalars), -base + f_opt(-gamma, scalars)
 
 
-@dataclass(frozen=True)
-class ScreenOutcome:
-    W: np.ndarray                # p x q matrix of coefficient bounds
-    screened_rows: np.ndarray    # indices j with ||W[j, :]||_inf below eps
-    screened_cols: np.ndarray
-    kept_rows: np.ndarray
-    kept_cols: np.ndarray
-    epsilon: float
+def _bounds(context, scalars, gammas):
+    """W = max(P1, P2) for each column gamma of gammas, shape (n, m) -> (m,)."""
+    base = context.gram.problem.y @ gammas / (context.gram.problem.n * context.lam)
+    return np.maximum(base + _f_opt_batch(gammas, scalars),
+                      -base + _f_opt_batch(-gammas, scalars))
 
 
-def screen(context, epsilon=None):
-    """Evaluate the bound matrix W and find the rows and columns it drops.
+def bound_matrix(context, scalars=None):
+    """All p q entries of W, from the factor's solved designs.
 
-    All pq bounds are computed in one batch. The Gram factor holds the
-    solved designs A_i = ((X X^T)^{-1} X)_i once per problem, and rotating
-    them, U^T A_i V, gives every (X X^T)^{-1} X vec(u_j v_k^T) at once, so
-    a level costs one rotation and no Gram solve, base terms included. The
-    path solves the level on the kept columns of U and V (FactorCache.restrict).
+    Rotating the solved designs, U^T A_i V, gives every
+    (X X^T)^{-1} X vec(u_j v_k^T) at once, so W costs one rotation of A and,
+    on a factor that has not solved its designs yet, that (n, pq) solve.
     """
     problem = context.gram.problem
     n, p, q = problem.n, problem.p, problem.q
-    scalars = compute_scalars(context)
-
+    if scalars is None:
+        scalars = compute_scalars(context)
     a_rot = np.matmul(np.matmul(context.U.T, context.gram.solved_designs), context.V)
     # column j + k p is (X X^T)^{-1} X vec(u_j v_k^T), the F order of W
     gammas = n * context.lam * a_rot.transpose(0, 2, 1).reshape(n, p * q)
-    base = problem.y @ gammas / (n * context.lam)
+    return _bounds(context, scalars, gammas).reshape((p, q), order="F")
 
-    p1 = base + _f_opt_batch(gammas, scalars)
-    p2 = -base + _f_opt_batch(-gammas, scalars)
-    w = np.maximum(p1, p2).reshape((p, q), order="F")
 
-    if epsilon is None:
-        epsilon = DEFAULT_EPSILON_REL * (1.0 + float(np.max(np.abs(w))))
-    row_dead = np.max(np.abs(w), axis=1) <= epsilon
-    col_dead = np.max(np.abs(w), axis=0) <= epsilon
+def cross_bounds(context, scalars):
+    """W's first column W[:, 0] and first row W[0, :], from one Gram solve.
+
+    The right-hand sides u_j^T X_i v_0 and u_0^T X_i v_k come straight from
+    the designs: p + q of them, with W[0, 0] in both.
+    """
+    problem = context.gram.problem
+    col = (problem.X @ context.V[:, 0]) @ context.U
+    row = (context.U[:, 0] @ problem.X) @ context.V
+    gammas = problem.n * context.lam * context.gram.solve(np.hstack([col, row]))
+    w = _bounds(context, scalars, gammas)
+    return w[:problem.p], w[problem.p:]
+
+
+def bound_ceiling(context, scalars):
+    """M >= max |W|, without W: ||A||_F (||y|| + n lam (||c|| + eta)).
+
+    |<y, gamma>|/(n lam) <= ||y|| ||gamma||/(n lam), Omega lies in the ball, so
+    |f_opt(+-gamma)| <= (||c|| + eta) ||gamma||, and
+    ||gamma|| <= n lam ||A||_2 <= n lam ||A||_F for A = (X X^T)^{-1} X.
+    """
+    problem = context.gram.problem
+    spread = np.linalg.norm(scalars.c) + np.sqrt(max(scalars.eta_sq, 0.0))
+    return context.gram.solved_designs_norm * (
+        np.linalg.norm(problem.y) + problem.n * context.lam * spread)
+
+
+def _default_epsilon(w):
+    return DEFAULT_EPSILON_REL * (1.0 + float(np.max(np.abs(w))))
+
+
+@dataclass(frozen=True)
+class ScreenOutcome:
+    """The rows and columns of the bases a screen drops and keeps.
+
+    W and, without a given epsilon, the default epsilon are evaluated on
+    first read when the cross decided the screen.
+    """
+
+    screened_rows: np.ndarray    # indices j with ||W[j, :]||_inf at most epsilon
+    screened_cols: np.ndarray
+    kept_rows: np.ndarray
+    kept_cols: np.ndarray
+    bounds_evaluated: int        # entries of W the screen computed: p + q - 1 or p q
+    context: ScreenContext = field(repr=False)
+    given_epsilon: float = None  # None: DEFAULT_EPSILON_REL * (1 + max |W|)
+    full_w: np.ndarray = field(default=None, repr=False)  # W, when the screen built it
+
+    @cached_property
+    def W(self):
+        """p x q matrix of coefficient bounds."""
+        return bound_matrix(self.context) if self.full_w is None else self.full_w
+
+    @cached_property
+    def epsilon(self):
+        if self.given_epsilon is None:
+            return _default_epsilon(self.W)
+        return float(self.given_epsilon)
+
+
+def screen(context, epsilon=None):
+    """Find the rows and columns of the bases that W drops.
+
+    A row is dropped when every bound W[j, k] in it is at most epsilon, so
+    one bound above it in each row and each column keeps everything. The
+    screen evaluates that cross first: W's first column and first row,
+    p + q - 1 bounds from one Gram solve. Without epsilon it compares the
+    cross against DEFAULT_EPSILON_REL (1 + M), with M = bound_ceiling >=
+    max |W|, which is at least the default DEFAULT_EPSILON_REL (1 + max |W|).
+    When every cross entry clears that threshold by CROSS_SLACK_RTOL (1 + M),
+    the level keeps everything and W is not built. Otherwise all pq bounds
+    of W decide, as bound_matrix evaluates them. The path solves the level
+    on the kept columns of U and V (FactorCache.restrict).
+    """
+    p, q = context.gram.problem.p, context.gram.problem.q
+    scalars = compute_scalars(context)
+
+    ceiling = bound_ceiling(context, scalars)
+    threshold = DEFAULT_EPSILON_REL * (1.0 + ceiling) if epsilon is None else epsilon
+    cross = np.concatenate(cross_bounds(context, scalars))
+    if np.all(np.abs(cross) > threshold + CROSS_SLACK_RTOL * (1.0 + ceiling)):
+        return ScreenOutcome(
+            screened_rows=np.arange(0), screened_cols=np.arange(0),
+            kept_rows=np.arange(p), kept_cols=np.arange(q),
+            bounds_evaluated=p + q - 1, context=context, given_epsilon=epsilon,
+        )
+
+    w = bound_matrix(context, scalars)
+    resolved = _default_epsilon(w) if epsilon is None else epsilon
+    row_dead = np.max(np.abs(w), axis=1) <= resolved
+    col_dead = np.max(np.abs(w), axis=0) <= resolved
     return ScreenOutcome(
-        W=w,
         screened_rows=np.flatnonzero(row_dead),
         screened_cols=np.flatnonzero(col_dead),
         kept_rows=np.flatnonzero(~row_dead),
         kept_cols=np.flatnonzero(~col_dead),
-        epsilon=float(epsilon),
+        bounds_evaluated=p * q, context=context, given_epsilon=epsilon, full_w=w,
     )

@@ -193,7 +193,7 @@ def test_path_both_modes(tmp_path, capsys):
     assert set(rec) == {
         "lambda", "objective", "rank", "iters", "backtracks", "converged", "gap",
         "dual_kind", "newton_steps", "primal_kind", "time_ms", "screen_time_ms",
-        "screened_rows", "screened_cols", "kept_dims",
+        "screened_rows", "screened_cols", "kept_dims", "bounds_evaluated",
     }
     assert all(r["gap"] <= 1e-6 for r in payload["records"])
     assert all(r["dual_kind"] in ("radial", "face") for r in payload["records"])

@@ -180,8 +180,9 @@ def test_warm_levels_start_from_the_extrapolated_solutions_above(
     check_warm(solves[5:])
 
 
-def test_screened_path_solves_the_gram_system_once(monkeypatch):
-    # B_ls and the solved designs; every screen rotates the solved designs
+def test_screened_path_solves_the_gram_system_once_per_level(monkeypatch):
+    # B_ls once, then one solve of each screen's cross (p + q right-hand
+    # sides); every level keeps everything, so no screen solves the designs
     problem, weights, sched, gram = small_case(seed=1)
     real_solve = GramFactor.solve
     shapes = []
@@ -189,7 +190,19 @@ def test_screened_path_solves_the_gram_system_once(monkeypatch):
                         lambda self, z: shapes.append(np.shape(z)) or real_solve(self, z))
     result = screened_path(problem, weights, sched, gram=gram)
     assert len(result.records) == 5
-    assert shapes == [(problem.n,), (problem.n, problem.p * problem.q)]
+    assert all(r.bounds_evaluated == problem.p + problem.q - 1 for r in result.records)
+    assert shapes == [(problem.n,)] + [(problem.n, problem.p + problem.q)] * 5
+
+
+def test_records_count_the_bounds_each_screen_evaluated():
+    problem, weights, sched, gram = small_case(seed=1, k=3)
+    p, q = problem.p, problem.q
+    assert [r.bounds_evaluated for r in full_path(problem, weights, sched).records] == [0] * 3
+    kept = screened_path(problem, weights, sched, gram=gram).records
+    assert [r.bounds_evaluated for r in kept] == [p + q - 1] * 3
+    dropped = screened_path(problem, weights, sched, epsilon=np.inf, gram=gram).records
+    assert [r.bounds_evaluated for r in dropped] == [p * q] * 3
+    assert all(r.to_dict()["bounds_evaluated"] == r.bounds_evaluated for r in kept + dropped)
 
 
 def test_screen_time_counts_the_svd_of_each_level(monkeypatch):

@@ -1,5 +1,7 @@
 """Screening rule: region geometry, the coefficient bounds, reduction."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -26,7 +28,15 @@ from tracereg import (
 )
 from tracereg.harness import GaussianSpec, gen_gaussian, prepare
 from tracereg.path import RANK_RTOL
-from tracereg.screen import DEFAULT_EPSILON_REL, _f_opt_batch, gamma_for, p_values
+from tracereg.screen import (
+    DEFAULT_EPSILON_REL,
+    _f_opt_batch,
+    bound_ceiling,
+    bound_matrix,
+    cross_bounds,
+    gamma_for,
+    p_values,
+)
 
 TIGHT = AdmmConfig(tol_primal=1e-8, tol_dual=1e-8)
 
@@ -105,6 +115,34 @@ def arc_maximum(gamma, scalars):
             hi, x2 = x2, x1
             x1 = hi - phi * (hi - lo)
     return float(c @ gamma) + max(float(vals[i]), h(0.5 * (lo + hi)))
+
+
+def oracle_path(p, q, n, seed, k=8):
+    """A Gaussian problem's weights, Gram factor and warm full path at tol 1e-10."""
+    problem, _ = gen_gaussian(GaussianSpec(p=p, q=q, n=n, seed=seed))
+    weights, schedule, gram = prepare(problem, k=k)
+    oracle = AdmmConfig(tol_primal=1e-10, tol_dual=1e-10)
+    records = full_path(problem, weights, schedule, oracle, warm_start=True).records
+    assert all(r.converged for r in records)
+    return weights, gram, records
+
+
+def descending_steps(weights, gram, records):
+    """(context, record) for each step of a screened path along converged records.
+
+    The first step leaves lambda_max (B = 0, theta = -y/(n lambda_max), the
+    pilot's bases) for the largest level; each later one leaves a level for
+    the next smaller one with its theta and the full bases of its B.
+    """
+    problem = gram.problem
+    lam0 = lambda_max(problem, weights)
+    theta0 = -problem.y / (problem.n * lam0)
+    bases = svd(min_norm_least_squares(problem, gram), full=True)
+    for cur in records[::-1]:
+        yield ScreenContext(lambda0=lam0, lam=cur.lam, theta_prev=theta0,
+                            gram=gram, U=bases.U_full, V=bases.V_full), cur
+        lam0, theta0 = cur.lam, cur.theta
+        bases = svd(cur.solution.B, full=True, rtol=RANK_RTOL)
 
 
 # ---------------------------------------------------------------- scalars
@@ -426,27 +464,14 @@ def test_descending_bound_covers_the_converged_next_solution(p, q, n, seed):
     # pilot's bases) to the largest grid level, then from each converged
     # level to the next smaller one with its theta and the full bases of its
     # B, and check that W bounds the converged coefficients U^T B(lambda) V
-    problem, _ = gen_gaussian(GaussianSpec(p=p, q=q, n=n, seed=seed))
-    weights, schedule, gram = prepare(problem, k=8)
-    oracle = AdmmConfig(tol_primal=1e-10, tol_dual=1e-10)
-    records = full_path(problem, weights, schedule, oracle, warm_start=True).records
-    assert all(r.converged for r in records)
-    b_ls = min_norm_least_squares(problem, gram)
-    lam0 = lambda_max(problem, weights)
-    theta0, bases = -problem.y / (problem.n * lam0), svd(b_ls, full=True)
+    weights, gram, records = oracle_path(p, q, n, seed)
     violations = []
-    for cur in records[::-1]:
-        context = ScreenContext(
-            lambda0=lam0, lam=cur.lam, theta_prev=theta0,
-            gram=gram, U=bases.U_full, V=bases.V_full,
-        )
+    for context, cur in descending_steps(weights, gram, records):
         w = screen(context).W
-        excess = np.abs(bases.U_full.T @ cur.solution.B @ bases.V_full) - w
+        excess = np.abs(context.U.T @ cur.solution.B @ context.V) - w
         missed = excess > 1e-6 * (1.0 + w.max())
         if missed.any():
             violations.append((cur.lam, int(missed.sum()), float(excess.max())))
-        lam0, theta0 = cur.lam, cur.theta
-        bases = svd(cur.solution.B, full=True, rtol=RANK_RTOL)
     assert not violations, violations
 
 
@@ -466,9 +491,10 @@ def test_screen_batch_matches_per_pair_bounds():
 
 @pytest.mark.parametrize("p, q, n", [(3, 4, 8), (4, 4, 16)])
 def test_screen_reads_the_base_term_from_gamma(monkeypatch, p, q, n):
-    # <B_ls, u_j v_k^T> = <y, gamma>/(n lam): the first screen on a fresh
-    # factor solves the designs, no screen solves the response, and at every
-    # step of a path W and p_values match the bounds with base U^T B_ls V
+    # <B_ls, u_j v_k^T> = <y, gamma>/(n lam): every screen solves its cross
+    # (p + q right-hand sides), reading W solves the designs once per factor,
+    # no screen solves the response, and at every step of a path W and
+    # p_values match the bounds with base U^T B_ls V
     problem, _ = gen_gaussian(GaussianSpec(p=p, q=q, n=n, seed=2))
     weights, schedule, gram = prepare(problem, k=5)
     b_ls = min_norm_least_squares(problem, gram)
@@ -486,7 +512,7 @@ def test_screen_reads_the_base_term_from_gamma(monkeypatch, p, q, n):
                                 gram=fresh, U=bases.U_full, V=bases.V_full)
         shapes.clear()
         w = screen(context).W
-        assert shapes == ([(n, p * q)] if cur is records[-1] else [])
+        assert shapes == [(n, p + q)] + ([(n, p * q)] if cur is records[-1] else [])
         s = compute_scalars(context)
         base = bases.U_full.T @ b_ls @ bases.V_full
         tol = 1e-14 * (1.0 + np.max(np.abs(w)))
@@ -514,6 +540,79 @@ def test_screen_default_epsilon():
     outcome = screen(context)
     expected = DEFAULT_EPSILON_REL * (1.0 + float(np.max(np.abs(outcome.W))))
     assert outcome.epsilon == pytest.approx(expected, rel=1e-15)
+
+
+def check_cross_and_ceiling(context):
+    scalars = compute_scalars(context)
+    w = bound_matrix(context, scalars)
+    col, row = cross_bounds(context, scalars)
+    scale = 1.0 + float(np.max(np.abs(w)))
+    assert np.max(np.abs(col - w[:, 0])) <= 1e-12 * scale
+    assert np.max(np.abs(row - w[0, :])) <= 1e-12 * scale
+    assert np.max(np.abs(w)) <= bound_ceiling(context, scalars)
+
+
+def test_cross_and_ceiling_on_pipeline_steps():
+    for seed in range(5):
+        check_cross_and_ceiling(pipeline_context(seed)[0])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("p, q, n", [(4, 4, 16), (3, 5, 15), (4, 6, 12)])
+def test_cross_and_ceiling_along_oracle_paths(p, q, n, seed):
+    # every step of both oracle walks: down from lambda_max through the warm
+    # path, and from each level up to the next larger one
+    weights, gram, records = oracle_path(p, q, n, seed)
+    for context, _ in descending_steps(weights, gram, records):
+        check_cross_and_ceiling(context)
+    for prev, cur in zip(records[:-1], records[1:]):
+        bases = svd(prev.solution.B, full=True, rtol=RANK_RTOL)
+        check_cross_and_ceiling(ScreenContext(
+            lambda0=prev.lam, lam=cur.lam, theta_prev=prev.theta,
+            gram=gram, U=bases.U_full, V=bases.V_full))
+
+
+def test_a_given_epsilon_decides_as_the_full_bound_matrix():
+    # the cross decides only a threshold every cross entry clears; a threshold
+    # at a cross entry, at row-peak percentiles or at inf goes to all of W
+    for seed in range(3):
+        context, problem, _ = pipeline_context(seed)
+        p, q = problem.p, problem.q
+        scalars = compute_scalars(context)
+        w = bound_matrix(context, scalars)
+        low = float(np.min(np.abs(np.concatenate(cross_bounds(context, scalars)))))
+        row_peak = np.max(np.abs(w), axis=1)
+        col_peak = np.max(np.abs(w), axis=0)
+        cases = [(1e-3 * low, p + q - 1), (low, p * q), (np.inf, p * q)]
+        cases += [(float(np.percentile(row_peak, pct)), p * q) for pct in (0.0, 50.0, 100.0)]
+        for epsilon, bounds in cases:
+            outcome = screen(context, epsilon=epsilon)
+            assert outcome.bounds_evaluated == bounds
+            assert outcome.epsilon == epsilon
+            np.testing.assert_array_equal(outcome.W, w)
+            np.testing.assert_array_equal(outcome.kept_rows, np.flatnonzero(row_peak > epsilon))
+            np.testing.assert_array_equal(outcome.kept_cols, np.flatnonzero(col_peak > epsilon))
+            np.testing.assert_array_equal(outcome.screened_rows,
+                                          np.flatnonzero(row_peak <= epsilon))
+            np.testing.assert_array_equal(outcome.screened_cols,
+                                          np.flatnonzero(col_peak <= epsilon))
+
+
+def test_a_keep_all_screen_solves_the_designs_only_when_w_is_read(monkeypatch):
+    context, problem, _ = pipeline_context(0)
+    real = GramFactor.solved_designs.func
+    built = []
+    monkeypatch.setattr(GramFactor, "solved_designs",
+                        property(lambda self: built.append(1) or real(self)))
+    context = dataclasses.replace(context, gram=GramFactor(problem))
+    outcome = screen(context)
+    assert outcome.bounds_evaluated == problem.p + problem.q - 1
+    assert outcome.kept_rows.size == problem.p and outcome.kept_cols.size == problem.q
+    assert built == []
+    w = outcome.W
+    assert built == [1]
+    assert outcome.epsilon == DEFAULT_EPSILON_REL * (1.0 + float(np.max(np.abs(w))))
+    assert outcome.W is w and built == [1]
 
 
 def test_screen_partition_and_threshold_rule():
