@@ -33,12 +33,13 @@ at the fixed step 1/L to 754 / 722 / 751, 215 and 654 before the Newton
 polish below, every level certified.
 
 The iterate is held transposed so that vec is a view, and the loop updates
-preallocated buffers in place. Every CHECK_EVERY iterations _check
-certifies the iterate from its residual r = Z c - y, at the cost of one
-product Z^T r and the top eigenvalue of its Gram, with ||c||_* from the
-prox's spectrum; a pass is confirmed with the singular values of c. The
-Solution's objective P, theta = r/n, gap and dual point all come from the
-certificate that accepted the returned iterate. The certificate is:
+preallocated buffers in place. Every CHECK_EVERY iterations, and at the
+first iteration of a warm start, _check certifies the iterate from its
+residual r = Z c - y, at the cost of one product Z^T r and the top
+eigenvalue of its Gram, with ||c||_* from the prox's spectrum; a pass is
+confirmed with the singular values of c. The Solution's objective P,
+theta = r/n, gap and dual point all come from the certificate that accepted
+the returned iterate. The certificate is:
 
 - the duality gap P - D, P = ||r||^2/2n + lambda ||c||_*, with the dual
   D(theta) = ||y||^2/2n - (n lambda^2/2) ||theta + y/(n lambda)||^2 taken at
@@ -68,10 +69,23 @@ steps on the factored objective of Burer & Monteiro (Math. Program. 2003),
 a manifold acceleration in the sense of Bareilles, Iutzeler & Malick
 (Math. Program. 2022), and A B^T is certified by the same _check. A pass
 returns it (Solution.primal_kind "newton"); otherwise FISTA goes on from
-its own iterate with its momentum. The warm full paths above then take
-227 / 217 / 215, 100 and 178 prox evaluations, with 10 / 13 / 14, 10 and 10
-levels certified on the polished point; at tolerance 1e-8 the Gaussian
-paths take 376 / 248 / 268.
+its own iterate with its momentum. The polish starts from the factors the
+prox computed for the checked iterate (prox_nuclear with factors=True), not
+from an SVD of it. The warm full paths above then take 227 / 217 / 215, 100
+and 178 prox evaluations, with 10 / 13 / 14, 10 and 10 levels certified on
+the polished point; at tolerance 1e-8 the Gaussian paths take 376 / 248 /
+268.
+
+A warm start is the solution of the level above, extrapolated, so its rank
+is usually already the right one. solve is told that rank (warm_rank) and
+checks a warm start at its first iteration too, where the polish gate
+compares the kept rank with it. The warm full paths then take 110 / 94 /
+98, 52 and 163 prox evaluations; 13 / 12 / 13, 2 and 0 of their levels
+certify at iteration 1, on FISTA's first iterate or its polish. A cold solve
+keeps the schedule of a check every CHECK_EVERY iterations. Checked at
+iteration 1 too, cold solves certified polished points short of the usual
+stationarity: on 40 small Gaussian solves at tolerance 1e-8, the subgradient
+residual of one read 6.2e-7, against at most 5.0e-14 on the schedule.
 
 The unreduced problem has Xt_i = X_i and M1, M2 = W1, W2. A screened level
 runs on FactorCache.restrict, C = Q_L C' Q_R^T on the designs Q_L^T Z_i Q_R;
@@ -118,7 +132,7 @@ TINY = np.finfo(float).tiny
 
 _posv = lapack.dposv
 _potrf = lapack.dpotrf
-_potrs = lapack.dpotrs
+_trtrs = lapack.dtrtrs
 
 # the face-corrected dual point (_face_certificate) moves the residual onto
 # the face spanned by the singular pairs of G with sigma > (1 - FACE_DELTA)
@@ -153,16 +167,21 @@ FACE_GATE = 100.0
 # on phi(A, B) = ||Z vec(A B^T) - y||^2/2n + lambda (||A||_F^2 + ||B||_F^2)/2
 # (_newton_point), then checks A B^T. Prox evaluations on the warm full
 # paths of Gaussian 15 x 45 n = 30 (seeds 0-2) and cross 32 x 32 (n = 10,
-# 100) with one, two and three steps: 331 / 252 / 257, 100, 251; 227 / 217 /
-# 215, 100, 178; 210 / 212 / 215, 100, 178. Three steps were slower in wall
-# time on four of the five paths (best of 7). The Hessian's curvature term
-# lambda I is raised to
+# 100) with one, two and three steps, before warm levels were checked at
+# their first iteration: 331 / 252 / 257, 100, 251; 227 / 217 / 215, 100,
+# 178; 210 / 212 / 215, 100, 178. Three steps were slower in wall time on
+# four of the five paths (best of 7). With the check at iteration 1 the
+# two-step paths take 110 / 94 / 98, 52 and 163, and run 18 / 16 / 16, 10
+# and 13 tries. The Hessian's curvature term lambda I is raised to
 # lambda' = lambda + (||G||_2 - lambda)_+ + NEWTON_DAMPING lambda, which makes
 # it positive definite whatever the rotation gauge (A Omega, B Omega) does,
 # so one Cholesky factorization per step suffices. A try (two steps and the
-# check) costs 0.8-1.0 ms at 15 x 45 (r = 3), 0.7-0.9 ms at 32 x 32 n = 10
-# (r = 1), and 1.5-1.6 ms (r = 1) to 3.9-5.3 ms (r = 8) at 32 x 32 n = 100,
-# with one BLAS thread on a shared 2-core machine.
+# check, from the prox's factors and on the whitened Woodbury system) costs
+# 0.37-0.52 ms at 15 x 45 (r = 3), 0.36-0.37 ms at 32 x 32 n = 10 (r = 1),
+# and 0.86 ms (r = 1) to 2.3-3.5 ms (r = 8) at 32 x 32 n = 100, against
+# 0.60-1.35, 0.52-0.94, 1.7 and 5.1-5.9 ms from an SVD of the iterate and
+# Woodbury's system solved through D^-1 on every column of J (best of 5 per
+# try on the warm paths' own tries, one BLAS thread, shared 2-core machine).
 NEWTON_STEPS = 2
 NEWTON_DAMPING = 1e-10
 
@@ -321,8 +340,17 @@ class FactorCache:
         """Theta = R1^{-1} C R2^{-T} (C = Q_L C' Q_R^T on a restriction)."""
         if self.q_left is not None:
             c_mat = self.q_left @ c_mat @ self.q_right.T
-        t = scipy.linalg.solve_triangular(self.r1, c_mat)
-        return scipy.linalg.solve_triangular(self.r2, t.T).T
+        return _upper_solve(self.r2, _upper_solve(self.r1, c_mat).T).T
+
+
+def _upper_solve(r, b):
+    """r^-1 b for an upper triangular r, by LAPACK trtrs on the lower r^T.
+
+    r is held row-major, so r^T is already in LAPACK's column-major order.
+    """
+    x, info = _trtrs(r.T, b, lower=1, trans=1)
+    _check_info(info, "trtrs")
+    return x
 
 
 def precompute(instance):
@@ -472,20 +500,19 @@ def _check(instance, cache, zc, c, estimate, config):
     return face, nuclear, passes(face)
 
 
-def _newton_point(instance, cache, c, rank):
-    """C = A B^T after NEWTON_STEPS damped Newton steps from c's rank-r factors.
+def _newton_point(instance, cache, s, u, v):
+    """C = A B^T after NEWTON_STEPS damped Newton steps from the iterate's factors.
 
-    c is the iterate as the solver holds it, C^T. The start is the balanced
-    pair A = U_r S_r^(1/2), B = V_r S_r^(1/2) of C's thin SVD, where
+    The iterate as the solver holds it, C^T, is u diag(s) v^T, the factors
+    of the prox that produced it (prox_nuclear with factors=True). The start
+    is the balanced pair A = v S^(1/2), B = u S^(1/2), where
     ||C||_* = (||A||_F^2 + ||B||_F^2)/2. Returns (A B^T)^T and Z vec(A B^T),
-    or None when a Cholesky factorization fails: the damping is relative to
-    lambda, so at lambda far below lambda_max rounding in J^T J/n can
-    outweigh it (Gaussian 4 x 4, n = 16, below 1e-5 lambda_max).
+    or None when a factorization fails: the damping is relative to lambda,
+    so at lambda far below lambda_max rounding in J^T J/n can outweigh it
+    (Gaussian 4 x 4, n = 16, below 1e-5 lambda_max).
     """
-    # c = U S V^T is C^T, so C = V S U^T
-    u, s, vt = np.linalg.svd(c, full_matrices=False)
-    root = np.sqrt(s[:rank])
-    a, b = vt[:rank].T * root, u[:, :rank] * root
+    root = np.sqrt(s)
+    a, b = v * root, u * root
     try:
         for _ in range(NEWTON_STEPS):
             a, b = _newton_step(instance, cache, a, b)
@@ -539,41 +566,55 @@ def _dense_direction(g, jac_a, jac_b, shift, rhs):
 
 
 def _woodbury_direction(g, jac_a, jac_b, shift, rhs):
-    """H^-1 rhs = s - D^-1 J^T (n I + J D^-1 J^T)^-1 J s, with s = D^-1 rhs.
+    """H^-1 rhs through Woodbury's identity on a whitened n-square system.
 
-    D^-1 (P, Q) = (X, Y) with (lambda'^2 I - G G^T) X = lambda' P - G Q and
-    Y = (Q - G^T X)/lambda', through one Cholesky factor of the d1-square
-    matrix, positive definite as lambda' > ||G||_2. It is applied to column
-    stacks (d, m), so that each product is one GEMM.
+    D (see _newton_step) is inverted through the Cholesky factor
+    lambda'^2 I - G G^T = L L^T, positive definite as lambda' > ||G||_2:
+    D^-1 (P, Q) = (X, Y) with X = L^-T w(P, Q), w(P, Q) = L^-1 (lambda' P -
+    G Q), and Y = (Q - G^T X)/lambda'. Then <(P', Q'), D^-1 (P, Q)> =
+    (<w(P', Q'), w(P, Q)> + <Q', Q>)/lambda', so with K the n x r (d1 + d2)
+    matrix of rows (w(Z_i B, Z_i^T A), Z_i^T A), J D^-1 J^T = K K^T/lambda' and
+
+        H^-1 rhs = D^-1 (rhs - J^T u),  (n lambda' I + K K^T) u = K (w(rhs), rhs_Q).
+
+    Whitening J costs one triangular solve on its n r columns; D^-1 itself
+    is applied to one d1 x r and one d2 x r block.
     """
     (d1, d2), n = g.shape, jac_a.shape[0]
     rank = jac_a.shape[1] // d1
     shifted = -(g @ g.T)
     shifted[np.diag_indices(d1)] += shift * shift
-    factor, info = _potrf(shifted, overwrite_a=1)
+    factor, info = _potrf(shifted, lower=1, overwrite_a=1)
     _check_info(info, "potrf")
 
-    def solve_d(p, q):
-        x, info = _potrs(factor, shift * p - g @ q, overwrite_b=1)
-        _check_info(info, "potrs")
-        return x, (q - g.T @ x) / shift
+    def lower_solve(m, trans=0):
+        """L^-1 m, or L^-T m with trans=1; m is overwritten."""
+        out, info = _trtrs(factor, m, lower=1, trans=trans, overwrite_b=1)
+        _check_info(info, "trtrs")
+        return out
 
-    def columns(rows, d):
-        return rows.reshape(n, d, rank).transpose(1, 0, 2).reshape(d, n * rank)
+    # (Z_i B)^T and (Z_i^T A)^T stacked, (n r) x d, so that their transposes
+    # are the column stacks LAPACK reads; w(Z_i B, Z_i^T A)^T is then the
+    # row block i of `white`, and row i of K holds it flattened
+    def stacked(rows, d):
+        return rows.reshape(n, d, rank).transpose(0, 2, 1).reshape(n * rank, d)
 
-    def rows(columns, d):
-        return columns.reshape(d, n, rank).transpose(1, 0, 2).reshape(n, d * rank)
-
-    # D^-1 J^T, from the rows of J as column stacks and back
-    x, y = solve_d(columns(jac_a, d1), columns(jac_b, d2))
-    x, y = rows(x, d1), rows(y, d2)
-    small = jac_a @ x.T
-    small += jac_b @ y.T
-    small[np.diag_indices(n)] += n
-    p, q = solve_d(rhs[:d1 * rank].reshape(d1, rank), rhs[d1 * rank:].reshape(d2, rank))
-    p, q = p.ravel(), q.ravel()
-    u = _spd_solve(small, jac_a @ p + jac_b @ q)
-    return np.concatenate([p - x.T @ u, q - y.T @ u])
+    white = stacked(jac_b, d2) @ g.T
+    np.subtract(shift * stacked(jac_a, d1), white, out=white)
+    white = lower_solve(white.T).T.reshape(n, rank * d1)
+    small = white @ white.T
+    small += jac_b @ jac_b.T
+    small[np.diag_indices(n)] += n * shift
+    p, q = rhs[:d1 * rank].reshape(d1, rank), rhs[d1 * rank:].reshape(d2, rank)
+    white_rhs = lower_solve(shift * p - g @ q)
+    u = _spd_solve(small, white @ white_rhs.T.ravel() + jac_b @ q.ravel())
+    # D^-1 (rhs - J^T u), with w(rhs - J^T u) = w(rhs) - sum_i u_i w(J_i)
+    white_rhs -= (white.T @ u).reshape(rank, d1).T
+    x = lower_solve(white_rhs, trans=1)
+    y = q - (jac_b.T @ u).reshape(d2, rank)
+    y -= g.T @ x
+    y /= shift
+    return np.concatenate([x.ravel(), y.ravel()])
 
 
 def _spd_solve(m, rhs):
@@ -587,14 +628,17 @@ def _next_momentum(t, ratio):
     return 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t * ratio))
 
 
-def solve(instance, config=None, cache=None, warm_start=None):
+def solve(instance, config=None, cache=None, warm_start=None, warm_rank=None):
     """Run restarted FISTA, with its Newton polish, to the certificate.
 
     Never raises on non-convergence. The returned point is FISTA's iterate
     or, when it certified first, the polished one (Solution.primal_kind).
 
     warm_start is Theta in the instance's coordinates: a previous
-    Solution.B for an instance without embedding bases.
+    Solution.B for an instance without embedding bases. A warm solve is
+    also checked at its first iteration, where the polish gate compares the
+    prox's kept rank with warm_rank, the rank of the solution the start was
+    built from (None: no polish there). A cold solve ignores warm_rank.
     Returns the last iterate with converged=False when max_iter is hit;
     callers that require convergence must check the flag.
     """
@@ -621,8 +665,10 @@ def solve(instance, config=None, cache=None, warm_start=None):
     # t_{k-1}; t_0 = 0 gives t_1 = 1, so the first two steps take no momentum
     momentum = 0.0
     spectrum = None
-    # the prox's kept rank at the last check, None when unknown
-    checked_rank = None
+    # the prox's kept rank at the last check, None when unknown; a warm start
+    # is checked at iteration 1 too, against the rank it was built from
+    warm = warm_start is not None
+    checked_rank = warm_rank if warm else None
     converged = False
     primal_kind = "iterate"
     it = backtracks = newton_steps = 0
@@ -639,8 +685,8 @@ def solve(instance, config=None, cache=None, warm_start=None):
             # from the same x and gradient
             np.multiply(grad.reshape(d2, d1), -1.0 / trial, out=point)
             point += x
-            c_new, spectrum = prox_nuclear(
-                point, lam / trial, spectrum=True,
+            c_new, spectrum, left, right = prox_nuclear(
+                point, lam / trial, factors=True,
                 rank_hint=None if spectrum is None else spectrum.size)
             np.matmul(z_mat, c_new.ravel(), out=zc_new)
             # accepted when the quadratic model at L bounds the loss at c_new:
@@ -673,7 +719,7 @@ def solve(instance, config=None, cache=None, warm_start=None):
         zc, zc_new = zc_new, zc
 
         # ||c||_* from the prox's own spectrum, confirmed on c at a pass
-        if it % CHECK_EVERY == 0:
+        if it % CHECK_EVERY == 0 or (warm and it == 1):
             certificate, nuclear, converged = _check(
                 instance, cache, zc, c,
                 None if spectrum is None else float(spectrum.sum()), config)
@@ -683,7 +729,7 @@ def solve(instance, config=None, cache=None, warm_start=None):
             if rank and rank == checked_rank and _unscaled_gap(
                     instance, certificate, zc, nuclear) <= FACE_GATE * config.tol_primal:
                 # polish on the rank-r face; FISTA's own state is left as it is
-                polished = _newton_point(instance, cache, c, rank)
+                polished = _newton_point(instance, cache, spectrum, left, right)
                 newton_steps += NEWTON_STEPS
                 newton = polished and _check(instance, cache, polished[1], polished[0],
                                              None, config)

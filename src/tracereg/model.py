@@ -114,7 +114,7 @@ class GramFactor:
 
     def solve(self, z):
         """(stacked stacked^T)^{-1} z for a vector or a matrix of columns."""
-        return scipy.linalg.cho_solve(self._cho, z)
+        return scipy.linalg.cho_solve(self._cho, z, check_finite=False)
 
     @cached_property
     def solved_designs(self):

@@ -23,9 +23,14 @@ n = 10 and 100) with the last solution as start to 1 239 / 917 / 1 068, 295
 and 798. With the face-corrected dual point (admm.FACE_GATE) the paths take
 754 / 722 / 751, 215 and 654, and with the Newton polish on each level's
 identified rank (admm.NEWTON_STEPS) 227 / 217 / 215, 100 and 178. Each
-record's dual_kind says which dual point certified its level, primal_kind
-whether FISTA's iterate or the polished point was certified, and
-newton_steps how many Newton steps the level ran.
+warm level also passes solve the rank of the level above, from its record:
+the solve checks its start at iteration 1, where the polish gate compares
+the kept rank with that one. The paths then take 110 / 94 / 98, 52 and
+163. Each record's dual_kind says which dual point certified its level,
+primal_kind whether FISTA's iterate or the polished point was certified,
+and newton_steps how many Newton steps the level ran. A full-path record's
+rank is timed with its solve, as the next level's solve reads it; a
+screened record's comes from the SVD timed as screening.
 """
 
 from __future__ import annotations
@@ -209,13 +214,15 @@ def _run_path(mode, problem, weights, schedule, config, warm_start, epsilon=None
     extrapolate() through the last PREDICTOR_POINTS solved levels: the
     second from the first one's solution, the third from the secant through
     the two above it, and every later one from the quadratic through the
-    three above it. A start outside a restricted cache's span is projected
-    by cache.coordinates, and every level is certified by the same gap test
-    whatever it starts from. The screened mode starts at lambda_max too: its
-    dual solution there is -y/(n lambda_max), and any orthogonal bases are
-    singular bases of B = 0 (the least-squares estimate's are taken). Each
-    level is screened from the one solved before it: its dual estimate and
-    the full singular bases of its B, an SVD timed as screening.
+    three above it. Such a level also gets the rank of the level above
+    (solve's warm_rank). A start outside a restricted cache's span is
+    projected by cache.coordinates, and every level is certified by the same
+    gap test whatever it starts from. The screened mode starts at lambda_max
+    too: its dual solution there is -y/(n lambda_max), and any orthogonal
+    bases are singular bases of B = 0 (the least-squares estimate's are
+    taken). Each level is screened from the one solved before it: its dual
+    estimate and the full singular bases of its B, an SVD timed as
+    screening.
     """
     config = config or AdmmConfig()
     screening = mode == "screened"
@@ -248,23 +255,28 @@ def _run_path(mode, problem, weights, schedule, config, warm_start, epsilon=None
                                              bases.V_full[:, outcome.kept_cols])
             screen_ms = (time.perf_counter() - t0) * 1e3
 
+        # a warm level's polish gate reads the rank of the level above
         t0 = time.perf_counter()
         sol = solve(base.at_lambda(lam), config, cache=level_cache,
-                    warm_start=extrapolate(solved, lam))
+                    warm_start=extrapolate(solved, lam),
+                    warm_rank=records[-1].rank if solved else None)
+        if not screening:
+            rank = numerical_rank(sol.B)
         solve_ms = (time.perf_counter() - t0) * 1e3
         if warm_start:
             solved = (solved + [(lam, sol.B)])[-PREDICTOR_POINTS:]
 
         # on the screened path the full singular bases of B feed the next
-        # screen, along with the record's dual estimate
+        # screen, along with the record's dual estimate, and give the rank
         if screening:
             t0 = time.perf_counter()
             bases = svd(sol.B, full=True, rtol=RANK_RTOL)
+            rank = bases.rank
             screen_ms += (time.perf_counter() - t0) * 1e3
         record = PathRecord(
             lam=lam,
             solution=sol,
-            rank=bases.rank if screening else numerical_rank(sol.B),
+            rank=rank,
             solve_time_ms=solve_ms,
             screen_time_ms=screen_ms,
             screened_rows=screened[0],

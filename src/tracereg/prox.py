@@ -116,7 +116,7 @@ def spectral_norm(m):
     return float(np.sqrt(max(w[-1], 0.0)))
 
 
-def prox_nuclear(m, t, rank_hint=None, spectrum=False):
+def prox_nuclear(m, t, rank_hint=None, spectrum=False, factors=False):
     """prox of t * ||.||_* at m: soft-threshold the singular values.
 
     Returns U diag((sigma - t)_+) V^T, computed from the eigendecomposition
@@ -131,9 +131,15 @@ def prox_nuclear(m, t, rank_hint=None, spectrum=False):
     eigenpair above t^2, so the output does not depend on the hint. With
     spectrum=True the result is (out, s): s holds the nonzero singular
     values sigma_k - t of out, ascending, or is None when the SVD fallback
-    or t = 0 answered.
+    or t = 0 answered. factors=True appends the singular vectors of out
+    that go with s, (out, s, u, v) with out = u diag(s) v^T: the kept
+    eigenvectors on one side, m^T U_k / sigma_k or m V_k / sigma_k on the
+    other, so they are as accurate as the Gram resolves them. u and v are
+    None whenever s is.
     """
-    out, s = _prox_nuclear(m, t, rank_hint)
+    out, s, u, v = _prox_nuclear(m, t, rank_hint)
+    if factors:
+        return out, s, u, v
     return (out, s) if spectrum else out
 
 
@@ -142,9 +148,10 @@ def _prox_nuclear(m, t, rank_hint):
         raise ValueError(f"threshold t must be nonnegative, got {t}")
     m = np.asarray(m, dtype=float)
     if t == 0:
-        return m.copy(), None
+        return m.copy(), None, None, None
     if m.size == 0:
-        return np.zeros_like(m), np.zeros(0)
+        p, q = m.shape
+        return np.zeros_like(m), np.zeros(0), np.zeros((p, 0)), np.zeros((q, 0))
     p, q = m.shape
     gram = _small_gram(m)
     cut = t * t
@@ -159,14 +166,16 @@ def _prox_nuclear(m, t, rank_hint):
         first = int(np.searchsorted(w, cut, side="right"))
         w, vecs = w[first:], vecs[:, first:]
     if cut < GRAM_RESOLUTION ** 2 * max(p, q) * EPS * top:
-        return _prox_nuclear_svd(m, t), None
-    if not w.size:
-        return np.zeros_like(m), np.zeros(0)
+        return _prox_nuclear_svd(m, t), None, None, None
     sigma = np.sqrt(w)
     shrink = 1.0 - t / sigma
     if p <= q:
-        return (vecs * shrink) @ (vecs.T @ m), sigma - t
-    return ((m @ vecs) * shrink) @ vecs.T, sigma - t
+        # vecs^T m = diag(sigma) V_k^T
+        scaled = vecs.T @ m
+        return (vecs * shrink) @ scaled, sigma - t, vecs, scaled.T / sigma
+    # m vecs = U_k diag(sigma)
+    scaled = m @ vecs
+    return (scaled * shrink) @ vecs.T, sigma - t, scaled / sigma, vecs
 
 
 def _prox_nuclear_svd(m, t):

@@ -194,9 +194,9 @@ def test_reported_gap_matches_independent_dual():
     assert kinds == ["radial", "radial", "face"]
 
 
-def unpolished(instance, cache, c, rank):
-    """A Newton polish that returns the iterate itself: its check always fails."""
-    return c, cache.Z @ c.ravel()
+def unpolished(instance, cache, s, u, v):
+    """A Newton polish that never yields a point, as when its factorization fails."""
+    return None
 
 
 def test_certificate_confirms_the_prox_spectrum(monkeypatch):
@@ -205,9 +205,9 @@ def test_certificate_confirms_the_prox_spectrum(monkeypatch):
     # and a failed recheck must still try the face-corrected point. The
     # Newton polish is patched out of both solves, as its gate reads the
     # same under-reported gap
-    def zero_spectrum(m, t, rank_hint=None, spectrum=False):
-        out, s = prox_nuclear(m, t, rank_hint=rank_hint, spectrum=True)
-        return out, None if s is None else np.zeros_like(s)
+    def zero_spectrum(m, t, rank_hint=None, factors=False):
+        out, s, u, v = prox_nuclear(m, t, rank_hint=rank_hint, factors=True)
+        return out, None if s is None else np.zeros_like(s), u, v
 
     tol = AdmmConfig().tol_primal
     kinds = set()
@@ -400,10 +400,10 @@ def test_accepted_steps_satisfy_the_quadratic_bound(monkeypatch):
         # layout (rows of Z) and L = lambda/t read off the threshold t
         trials = []
 
-        def spy(m, t, rank_hint=None, spectrum=False):
-            out, s = prox_nuclear(m, t, rank_hint=rank_hint, spectrum=True)
+        def spy(m, t, rank_hint=None, factors=False):
+            out, s, u, v = prox_nuclear(m, t, rank_hint=rank_hint, factors=True)
             trials.append((m.ravel().copy(), inst.lam / t, out.ravel().copy()))
-            return (out, s) if spectrum else out
+            return (out, s, u, v) if factors else out
 
         with monkeypatch.context() as patch:
             patch.setattr(tracereg.admm, "prox_nuclear", spy)
@@ -490,8 +490,12 @@ def test_descending_warm_path_takes_fewer_proxes_than_the_ascending_one():
     # with the Newton polish on the identified rank (NEWTON_STEPS), 227 and 100
     (GaussianSpec(p=15, q=45, n=30, rank=2, seed=0), 20, 301),
     (ShapeSpec("cross", size=32, n=10, seed=0), 10, 121),
+    # with each warm level also checked, and polished, at its first
+    # iteration, 110 and 52
+    (GaussianSpec(p=15, q=45, n=30, rank=2, seed=0), 20, 121),
+    (ShapeSpec("cross", size=32, n=10, seed=0), 10, 58),
 ], ids=["gaussian", "cross32", "gaussian-face", "cross32-face", "gaussian-newton",
-        "cross32-newton"])
+        "cross32-newton", "gaussian-first-check", "cross32-first-check"])
 def test_extrapolated_warm_path_takes_fewer_proxes(spec, k, limit):
     generate = gen_gaussian if isinstance(spec, GaussianSpec) else gen_shape
     problem, _ = generate(spec)
@@ -502,10 +506,49 @@ def test_extrapolated_warm_path_takes_fewer_proxes(spec, k, limit):
     assert proxes < limit
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_warm_levels_certify_at_their_first_iteration(seed):
+    # a warm level is checked at iteration 1 as well, where the polish gate
+    # compares the kept rank with the rank of the level above. Measured: 13,
+    # 12 and 13 of the 20 levels certify there, FISTA's first iterate or its
+    # polish, and the paths take 110 / 94 / 98 prox evaluations
+    problem, _ = gen_gaussian(GaussianSpec(p=15, q=45, n=30, rank=2, seed=seed))
+    weights, schedule, _ = prepare(problem, k=20)
+    result = full_path(problem, weights, schedule, warm_start=True)
+    assert all(r.converged for r in result.records)
+    assert sum(r.iters == 1 for r in result.records) >= 10
+    assert any(r.iters == 1 and r.solution.primal_kind == "newton" for r in result.records)
+
+
+def test_only_a_warm_solve_is_checked_before_check_every(monkeypatch):
+    # a cold solve keeps the schedule of a check every CHECK_EVERY iterations:
+    # capped one short of it, it runs only the final check of the returned
+    # iterate. The same solve started warm from B = 0 runs the same iterates
+    # and one check more, at iteration 1. (Checked at iteration 1 too, seed
+    # 57 below certified at iteration 5 with a stationarity residual of
+    # 6.2e-7, against the 1e-10 of test_newton_points_are_stationary.)
+    config = AdmmConfig(max_iter=tracereg.admm.CHECK_EVERY - 1)
+    check = tracereg.admm._check
+    for seed in (50, 57):
+        problem, weights, lam = small_setup(seed)
+        inst = make_instance(problem, weights, lam)
+        counts = []
+        for start in (None, np.zeros((problem.p, problem.q))):
+            calls = []
+            with monkeypatch.context() as patch:
+                patch.setattr(tracereg.admm, "_check",
+                              lambda *args: calls.append(1) or check(*args))
+                sol = solve(inst, config, warm_start=start)
+            assert not sol.converged and sol.iters == config.max_iter
+            counts.append((len(calls), sol.B))
+        assert [c for c, _ in counts] == [1, 2]
+        np.testing.assert_array_equal(counts[0][1], counts[1][1])
+
+
 def test_face_correction_runs_only_behind_its_gate(monkeypatch):
     # a correction follows only a radial check that failed with the checked
     # point's dual infeasibility passing and its unscaled gap within FACE_GATE
-    # tol; on the warm Gaussian path 19 of 57 checks ran one. Each of the
+    # tol; on the warm Gaussian path 12 of 56 checks ran one. Each of the
     # benchmark's three cold solves at 0.3 lambda_max certifies a Newton point
     # after 15 iterations, and they run one correction in all, at seed 1's
     # Newton point, which it certifies (without the polish they ran none)
@@ -574,7 +617,8 @@ def test_newton_points_are_stationary():
     # rounding: its stationarity residual is far below the tolerance that
     # FISTA's certified iterates reach (seed 43's reads 3.0e-5 with and
     # without the polish). Measured: 28 of the 40 solves certify a Newton
-    # point, with residuals at most 6.5e-14
+    # point, with residuals at most 5.0e-14 (6.5e-14 when the polish started
+    # from an SVD of the iterate)
     config = AdmmConfig(tol_primal=1e-8, tol_dual=1e-8)
     residuals = []
     for seed in range(20, 60):
@@ -601,13 +645,17 @@ def test_newton_points_are_stationary():
     # n >= r (d1 + d2): it takes the dense Cholesky
     (GaussianSpec(p=6, q=8, n=40, seed=1), 5, 2),
     (GaussianSpec(p=10, q=15, n=100, seed=2), 5, 3),
-], ids=["gaussian-15x45", "cross16", "gaussian-6x8-n40", "gaussian-10x15-n100"])
+    # Woodbury's route at rank 8, the largest rank on the cross32 n = 100 path
+    (ShapeSpec("cross", size=32, n=100, seed=0), 10, 8),
+], ids=["gaussian-15x45", "cross16", "gaussian-6x8-n40", "gaussian-10x15-n100",
+        "cross32-n100-rank8"])
 def test_dense_and_woodbury_newton_steps_agree(monkeypatch, spec, k, rank):
     # both routes solve the same damped Newton system. On random (A, B) of
-    # scale 0.1 at 0.2 lambda_max the two steps agree to 9e-8 to 2.4e-6
-    # relative. The rounding grows with ||G||_2 / lambda, as D's smallest
-    # eigenvalue is NEWTON_DAMPING lambda whenever ||G||_2 >= lambda: at
-    # scale 1 they agree to 5e-6 to 2.0e-5 only
+    # scale 0.1 at 0.2 lambda_max the two steps agree to 1e-8 to 7.2e-7
+    # relative (1.6e-7 to 4.9e-7 on the rank-8 case). The rounding grows with
+    # ||G||_2 / lambda, as D's smallest eigenvalue is NEWTON_DAMPING lambda
+    # whenever ||G||_2 >= lambda: at scale 1 they agree to 1.4e-6 to 2.2e-5
+    # only
     generate = gen_gaussian if isinstance(spec, GaussianSpec) else gen_shape
     problem, _ = generate(spec)
     weights, schedule, _ = prepare(problem, k=k)
@@ -633,8 +681,9 @@ def test_a_failed_polish_leaves_fistas_iterate(monkeypatch):
     # a Newton point that cannot certify is never returned: with the polish
     # perturbed, every solve certifies FISTA's own iterate, at the same
     # iteration as with the polish patched out
-    def perturbed(instance, cache, c, rank):
-        point = c + 1e-3 * np.abs(c).max() * np.ones_like(c)
+    def perturbed(instance, cache, s, u, v):
+        point = (u * s) @ v.T
+        point += 1e-3 * np.abs(point).max()
         return point, cache.Z @ point.ravel()
 
     config = AdmmConfig(tol_primal=1e-8, tol_dual=1e-8)

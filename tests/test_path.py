@@ -180,6 +180,42 @@ def test_warm_levels_start_from_the_extrapolated_solutions_above(
     check_warm(solves[5:])
 
 
+def test_warm_levels_pass_the_rank_of_the_level_above(monkeypatch):
+    # the polish gate of a warm level's first check reads the rank of the
+    # level solved before it, as its record holds it; no other level gets one
+    real_solve = tracereg.path.solve
+    ranks = []
+
+    def spy(instance, *args, **kwargs):
+        ranks.append(kwargs["warm_rank"])
+        return real_solve(instance, *args, **kwargs)
+
+    monkeypatch.setattr(tracereg.path, "solve", spy)
+    problem, weights, sched, gram = small_case(seed=2, k=6)
+    for run in (full_path, lambda *a, **kw: screened_path(*a, gram=gram, **kw)):
+        records = run(problem, weights, sched, warm_start=True).records[::-1]
+        assert ranks == [None] + [r.rank for r in records[:-1]]
+        assert any(ranks[1:])
+        ranks.clear()
+        run(problem, weights, sched, warm_start=False)
+        assert ranks == [None] * 6
+        ranks.clear()
+
+
+def test_full_path_times_the_rank_of_each_level(monkeypatch):
+    # the rank of each level's B feeds the next solve, so it is solver work
+    real_rank = tracereg.path.numerical_rank
+
+    def slow_rank(b):
+        time.sleep(0.002)
+        return real_rank(b)
+
+    problem, weights, sched, _ = small_case(seed=1)
+    monkeypatch.setattr(tracereg.path, "numerical_rank", slow_rank)
+    result = full_path(problem, weights, sched)
+    assert all(r.solve_time_ms >= 2.0 for r in result.records)
+
+
 def test_screened_path_solves_the_gram_system_once_per_level(monkeypatch):
     # B_ls once, then one solve of each screen's cross (p + q right-hand
     # sides); every level keeps everything, so no screen solves the designs

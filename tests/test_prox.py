@@ -178,12 +178,15 @@ def test_fenchel_young_inequality():
 # ------------------------------------------- references from np.linalg.svd
 
 
-def svd_prox(m, t, rank_hint=None, spectrum=False):
+def svd_prox(m, t, rank_hint=None, spectrum=False, factors=False):
     # the rank hint only picks an eigensolver in prox_nuclear; an SVD needs none
     U, s, Vt = np.linalg.svd(m, full_matrices=False)
     s = np.maximum(s - t, 0.0)
     out = (U * s) @ Vt
-    return (out, s[s > 0]) if spectrum else out
+    keep = s > 0
+    if factors:
+        return out, s[keep], U[:, keep], Vt[keep].T
+    return (out, s[keep]) if spectrum else out
 
 
 def svd_nuclear_norm(m):
@@ -271,7 +274,9 @@ def straddling_t_cases():
 @pytest.mark.parametrize("case", range(len(straddling_t_cases())))
 def test_prox_nuclear_rank_hint_and_spectrum(case, monkeypatch):
     # every hint gives the reference output, whichever eigensolver it picks,
-    # and the returned spectrum is the output's nonzero singular values
+    # and the returned spectrum is the output's nonzero singular values; the
+    # factors that go with it rebuild the output and are orthonormal as far
+    # as the Gram resolves them
     m, t = straddling_t_cases()[case]
     partial = []
     syevx = prox_module._syevx
@@ -289,6 +294,12 @@ def test_prox_nuclear_rank_hint_and_spectrum(case, monkeypatch):
         np.testing.assert_allclose(np.sort(spec)[::-1], s_out[:spec.size],
                                    rtol=0, atol=1e-12 * s[0])
         assert np.all(s_out[spec.size:] <= 1e-12 * s[0])
+        same, factored, u, v = prox_nuclear(m, t, rank_hint=hint, factors=True)
+        assert np.array_equal(same, out) and np.array_equal(factored, spec)
+        assert u.shape == (m.shape[0], spec.size) and v.shape == (m.shape[1], spec.size)
+        assert np.linalg.norm((u * spec) @ v.T - out, 2) <= 1e-12 * s[0]
+        np.testing.assert_allclose(u.T @ u, np.eye(spec.size), atol=1e-8)
+        np.testing.assert_allclose(v.T @ v, np.eye(spec.size), atol=1e-8)
     # hint 0 takes the partial eigensolver on every case here
     assert partial
 
@@ -320,8 +331,11 @@ def test_prox_nuclear_spectrum_edge_cases():
         out, spec = prox_nuclear(m, 5.0, rank_hint=hint, spectrum=True)
         assert not np.any(out) and spec.size == 0
     assert prox_nuclear(m, 0.0, spectrum=True)[1] is None
+    assert prox_nuclear(m, 0.0, factors=True)[1:] == (None, None, None)
     out, spec = prox_nuclear(np.zeros((0, 3)), 1.0, spectrum=True)
     assert out.shape == (0, 3) and spec.size == 0
+    _, _, u, v = prox_nuclear(np.zeros((0, 3)), 1.0, factors=True)
+    assert u.shape == (0, 0) and v.shape == (3, 0)
 
 
 @pytest.mark.parametrize("p,q", [(15, 45), (45, 15)])
@@ -354,9 +368,12 @@ def test_prox_nuclear_falls_back_to_svd_below_gram_resolution(p, q, monkeypatch)
 
 def test_solver_path_matches_svd_based_helpers(monkeypatch):
     # a warm path solved with the Gram/LAPACK helpers and again with helpers
-    # built on np.linalg.svd: the same iterates up to rounding
-    problem, _ = gen_gaussian(GaussianSpec(p=6, q=10, n=25, seed=13))
-    weights, schedule, _ = prepare(problem, k=6)
+    # built on np.linalg.svd: the same iterates up to rounding. The polish
+    # starts from the prox's factors, so it reads the SVD's in the second
+    # run. (Seed 13 with k = 6 ran 65 iterations before warm levels were
+    # checked at their first iteration, and 38 after; this path runs 70.)
+    problem, _ = gen_gaussian(GaussianSpec(p=6, q=10, n=25, seed=11))
+    weights, schedule, _ = prepare(problem, k=10)
     fast = full_path(problem, weights, schedule, warm_start=True)
     monkeypatch.setattr(tracereg.admm, "prox_nuclear", svd_prox)
     monkeypatch.setattr(tracereg.admm, "nuclear_norm", svd_nuclear_norm)
