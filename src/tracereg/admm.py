@@ -9,9 +9,10 @@ With the QR factors M1 = Q1 R1 and M2^T = Q2 R2 the penalty equals
 a plain nuclear norm regression on the designs Z_i = R1^{-T} Xt_i R2^{-1}.
 FISTA (Beck & Teboulle 2009) with gradient restart (O'Donoghue & Candes
 2015) runs there: one gradient and one singular value soft threshold per
-iteration, no linear system; the threshold costs one eigendecomposition of
-a min(d1, d2)-square Gram matrix (prox_nuclear), partial when the previous
-iterate's rank is small (see prox.PARTIAL_EIGEN_SHARE).
+iteration; the threshold costs one eigendecomposition of a min(d1, d2)-square
+Gram matrix (prox_nuclear), partial when the previous iterate's rank is
+small (see prox.PARTIAL_EIGEN_SHARE). A FISTA step solves no linear system;
+the Newton polish below solves one per step.
 
 The step 1/L_k adapts by two-way backtracking (Scheinberg, Goldfarb & Bai
 2014). Iteration k first tries L_k = LIPSCHITZ_SHRINK * L_{k-1} and accepts

@@ -129,17 +129,6 @@ class GramFactor:
         n, p, q = self.problem.n, self.problem.p, self.problem.q
         return self.solve(self.problem.stacked).reshape(n, q, p).transpose(0, 2, 1)
 
-    @cached_property
-    def solved_designs_norm(self):
-        """||A||_F of the solved designs A, read from the factor; built on first use.
-
-        ||A||_F^2 = tr((stacked stacked^T)^{-1}) = ||L^{-1}||_F^2 for the
-        Cholesky factor L, so it takes one triangular solve of the identity
-        and no solve of the designs.
-        """
-        eye = np.eye(self.problem.n)
-        return float(np.linalg.norm(scipy.linalg.solve_triangular(self._cho[0], eye, lower=True)))
-
     def row_space_map(self, z):
         """stacked^T (stacked stacked^T)^{-1} z, the min-norm preimage."""
         return self.problem.stacked.T @ self.solve(z)
@@ -173,7 +162,6 @@ class WeightPair:
     W1inv: np.ndarray
     W2inv: np.ndarray
     gamma: float
-    s_raw: np.ndarray      # singular values of B_ls, length min(p, q)
     s_left: np.ndarray     # padded/floored spectrum used for W1, length p
     s_right: np.ndarray    # padded/floored spectrum used for W2, length q
     floored: bool          # True when the small-value floor was applied
@@ -213,7 +201,7 @@ def compute_weights(estimate, gamma, n):
     W2inv = _sym((V * s_right ** gamma) @ V.T)
     return WeightPair(
         W1=W1, W2=W2, W1inv=W1inv, W2inv=W2inv, gamma=gamma,
-        s_raw=s, s_left=s_left, s_right=s_right, floored=floored,
+        s_left=s_left, s_right=s_right, floored=floored,
     )
 
 

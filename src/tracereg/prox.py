@@ -116,7 +116,7 @@ def spectral_norm(m):
     return float(np.sqrt(max(w[-1], 0.0)))
 
 
-def prox_nuclear(m, t, rank_hint=None, spectrum=False, factors=False):
+def prox_nuclear(m, t, rank_hint=None, factors=False):
     """prox of t * ||.||_* at m: soft-threshold the singular values.
 
     Returns U diag((sigma - t)_+) V^T, computed from the eigendecomposition
@@ -129,18 +129,15 @@ def prox_nuclear(m, t, rank_hint=None, spectrum=False, factors=False):
     rank_hint, the kept rank of a nearby input such as the previous iterate,
     only picks the eigensolver (see PARTIAL_EIGEN_SHARE); both return every
     eigenpair above t^2, so the output does not depend on the hint. With
-    spectrum=True the result is (out, s): s holds the nonzero singular
-    values sigma_k - t of out, ascending, or is None when the SVD fallback
-    or t = 0 answered. factors=True appends the singular vectors of out
-    that go with s, (out, s, u, v) with out = u diag(s) v^T: the kept
-    eigenvectors on one side, m^T U_k / sigma_k or m V_k / sigma_k on the
-    other, so they are as accurate as the Gram resolves them. u and v are
-    None whenever s is.
+    factors=True the result is (out, s, u, v) with out = u diag(s) v^T: s
+    holds the nonzero singular values sigma_k - t of out, ascending, u and v
+    the kept eigenvectors on one side and m^T U_k / sigma_k or
+    m V_k / sigma_k on the other, so they are as accurate as the Gram
+    resolves them. s, u and v are None when the SVD fallback or t = 0
+    answered.
     """
     out, s, u, v = _prox_nuclear(m, t, rank_hint)
-    if factors:
-        return out, s, u, v
-    return (out, s) if spectrum else out
+    return (out, s, u, v) if factors else out
 
 
 def _prox_nuclear(m, t, rank_hint):

@@ -29,8 +29,9 @@ degenerate plane-ball geometry). As B_ls = X^T (X X^T)^{-1} y,
 
 so the rule reads the base term from gamma and never forms B_ls. Rows and
 columns whose W entries all vanish are dropped from the problem; a screen
-first evaluates W's first column and first row, and builds the rest of W
-only when that cross does not already keep everything (see screen). The bound
+first evaluates W's first column and first row, reads its default threshold
+from that cross, and builds the rest of W only when the cross does not
+already keep everything (see screen). The bound
 needs the coefficient to equal <gamma, theta + y/(n lambda)>, which holds
 only when vec(B) lies in the row space of the design (for every B when
 n = pq); for n < pq converged paths exceed W in either order (see the path
@@ -39,25 +40,17 @@ oracle tests in tests/test_screen.py).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
-# screening threshold: entries of W below eps * (1 + max |W|) count as zero
+# default screening threshold, relative: entries of W at most
+# DEFAULT_EPSILON_REL * (1 + max |cross|) count as zero (see screen)
 DEFAULT_EPSILON_REL = 1e-9
 
 # relative cutoff below which the two-case split is ill conditioned and
 # the sphere bound is used instead
 DEGENERATE_RTOL = 1e-12
-
-# slack, relative to 1 + bound_ceiling, by which every cross entry must clear
-# the threshold before the cross decides a screen. It covers the rounding by
-# which the cross and the full W evaluate one entry differently, so the cross
-# never decides a tie: at most 6.6e-14 (1 + max |W|) over 190 path steps on
-# Gaussian 15 x 45 n = 30, 4 x 4 n = 16, 4 x 6 and 3 x 4 n = 12 (seeds 0-2)
-# and cross 32 x 32 and 64 x 64 at n = 10 and 100
-CROSS_SLACK_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -211,50 +204,16 @@ def cross_bounds(context, scalars):
     return w[:problem.p], w[problem.p:]
 
 
-def bound_ceiling(context, scalars):
-    """M >= max |W|, without W: ||A||_F (||y|| + n lam (||c|| + eta)).
-
-    |<y, gamma>|/(n lam) <= ||y|| ||gamma||/(n lam), Omega lies in the ball, so
-    |f_opt(+-gamma)| <= (||c|| + eta) ||gamma||, and
-    ||gamma|| <= n lam ||A||_2 <= n lam ||A||_F for A = (X X^T)^{-1} X.
-    """
-    problem = context.gram.problem
-    spread = np.linalg.norm(scalars.c) + np.sqrt(max(scalars.eta_sq, 0.0))
-    return context.gram.solved_designs_norm * (
-        np.linalg.norm(problem.y) + problem.n * context.lam * spread)
-
-
-def _default_epsilon(w):
-    return DEFAULT_EPSILON_REL * (1.0 + float(np.max(np.abs(w))))
-
-
 @dataclass(frozen=True)
 class ScreenOutcome:
-    """The rows and columns of the bases a screen drops and keeps.
-
-    W and, without a given epsilon, the default epsilon are evaluated on
-    first read when the cross decided the screen.
-    """
+    """The rows and columns of the bases a screen drops and keeps."""
 
     screened_rows: np.ndarray    # indices j with ||W[j, :]||_inf at most epsilon
     screened_cols: np.ndarray
     kept_rows: np.ndarray
     kept_cols: np.ndarray
     bounds_evaluated: int        # entries of W the screen computed: p + q - 1 or p q
-    context: ScreenContext = field(repr=False)
-    given_epsilon: float = None  # None: DEFAULT_EPSILON_REL * (1 + max |W|)
-    full_w: np.ndarray = field(default=None, repr=False)  # W, when the screen built it
-
-    @cached_property
-    def W(self):
-        """p x q matrix of coefficient bounds."""
-        return bound_matrix(self.context) if self.full_w is None else self.full_w
-
-    @cached_property
-    def epsilon(self):
-        if self.given_epsilon is None:
-            return _default_epsilon(self.W)
-        return float(self.given_epsilon)
+    epsilon: float               # the threshold the screen decided on
 
 
 def screen(context, epsilon=None):
@@ -263,35 +222,33 @@ def screen(context, epsilon=None):
     A row is dropped when every bound W[j, k] in it is at most epsilon, so
     one bound above it in each row and each column keeps everything. The
     screen evaluates that cross first: W's first column and first row,
-    p + q - 1 bounds from one Gram solve. Without epsilon it compares the
-    cross against DEFAULT_EPSILON_REL (1 + M), with M = bound_ceiling >=
-    max |W|, which is at least the default DEFAULT_EPSILON_REL (1 + max |W|).
-    When every cross entry clears that threshold by CROSS_SLACK_RTOL (1 + M),
-    the level keeps everything and W is not built. Otherwise all pq bounds
-    of W decide, as bound_matrix evaluates them. The path solves the level
-    on the kept columns of U and V (FactorCache.restrict).
+    p + q - 1 bounds from one Gram solve. Without epsilon the threshold is
+    DEFAULT_EPSILON_REL (1 + max |cross|); the cross is part of W, so up to
+    rounding it is never above DEFAULT_EPSILON_REL (1 + max |W|). When
+    every cross entry exceeds the threshold the level keeps everything and
+    W is not built. Otherwise all pq bounds of W decide at the same
+    threshold, as bound_matrix evaluates them. The path solves the level on
+    the kept columns of U and V (FactorCache.restrict).
     """
     p, q = context.gram.problem.p, context.gram.problem.q
     scalars = compute_scalars(context)
-
-    ceiling = bound_ceiling(context, scalars)
-    threshold = DEFAULT_EPSILON_REL * (1.0 + ceiling) if epsilon is None else epsilon
-    cross = np.concatenate(cross_bounds(context, scalars))
-    if np.all(np.abs(cross) > threshold + CROSS_SLACK_RTOL * (1.0 + ceiling)):
+    cross = np.abs(np.concatenate(cross_bounds(context, scalars)))
+    if epsilon is None:
+        epsilon = DEFAULT_EPSILON_REL * (1.0 + float(np.max(cross)))
+    if np.all(cross > epsilon):
         return ScreenOutcome(
             screened_rows=np.arange(0), screened_cols=np.arange(0),
             kept_rows=np.arange(p), kept_cols=np.arange(q),
-            bounds_evaluated=p + q - 1, context=context, given_epsilon=epsilon,
+            bounds_evaluated=p + q - 1, epsilon=epsilon,
         )
 
-    w = bound_matrix(context, scalars)
-    resolved = _default_epsilon(w) if epsilon is None else epsilon
-    row_dead = np.max(np.abs(w), axis=1) <= resolved
-    col_dead = np.max(np.abs(w), axis=0) <= resolved
+    w = np.abs(bound_matrix(context, scalars))
+    row_dead = np.max(w, axis=1) <= epsilon
+    col_dead = np.max(w, axis=0) <= epsilon
     return ScreenOutcome(
         screened_rows=np.flatnonzero(row_dead),
         screened_cols=np.flatnonzero(col_dead),
         kept_rows=np.flatnonzero(~row_dead),
         kept_cols=np.flatnonzero(~col_dead),
-        bounds_evaluated=p * q, context=context, given_epsilon=epsilon, full_w=w,
+        bounds_evaluated=p * q, epsilon=epsilon,
     )

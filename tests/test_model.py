@@ -100,16 +100,6 @@ def test_gram_factor_solve_and_row_space_map():
         assert np.allclose(gram.row_space_map(z), problem.stacked.T @ x)
 
 
-@pytest.mark.parametrize("p, q, n", [(6, 7, 10), (4, 4, 16), (15, 45, 30)])
-def test_solved_designs_norm_reads_the_factor(p, q, n):
-    # ||(X X^T)^{-1} X||_F from the triangular factor, without the designs' solve
-    problem, _ = gen_gaussian(GaussianSpec(p=p, q=q, n=n, seed=5))
-    gram = GramFactor(problem)
-    norm = gram.solved_designs_norm
-    assert "solved_designs" not in vars(gram)
-    assert norm == pytest.approx(np.linalg.norm(gram.solved_designs), rel=1e-12)
-
-
 def test_gram_factor_rejects_rank_deficient_design():
     x = np.ones((2, 2))
     problem = build_problem([x, x], [1.0, 1.0])

@@ -400,7 +400,7 @@ def test_partial_screening_embeds_exact_zero_directions():
     # check the embedded solutions vanish on every screened direction
     problem, weights, sched, gram = small_case(seed=7, k=4)
 
-    from tracereg.screen import ScreenContext, screen
+    from tracereg.screen import ScreenContext, bound_matrix, screen
     from tracereg import make_instance, precompute, vec
 
     sol1 = solve(make_instance(problem, weights, float(sched.values[0])), TIGHT)
@@ -412,7 +412,7 @@ def test_partial_screening_embeds_exact_zero_directions():
         lambda0=float(sched.values[0]), lam=float(sched.values[1]),
         theta_prev=theta1, gram=gram, U=u, V=vt.T,
     )
-    w = screen(context).W
+    w = bound_matrix(context)
     eps = float(np.percentile(np.max(np.abs(w), axis=1), 60.0))
     outcome = screen(context, epsilon=eps)
     assert outcome.screened_rows.size > 0

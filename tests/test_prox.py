@@ -178,15 +178,13 @@ def test_fenchel_young_inequality():
 # ------------------------------------------- references from np.linalg.svd
 
 
-def svd_prox(m, t, rank_hint=None, spectrum=False, factors=False):
+def svd_prox(m, t, rank_hint=None, factors=False):
     # the rank hint only picks an eigensolver in prox_nuclear; an SVD needs none
     U, s, Vt = np.linalg.svd(m, full_matrices=False)
     s = np.maximum(s - t, 0.0)
     out = (U * s) @ Vt
     keep = s > 0
-    if factors:
-        return out, s[keep], U[:, keep], Vt[keep].T
-    return (out, s[keep]) if spectrum else out
+    return (out, s[keep], U[:, keep], Vt[keep].T) if factors else out
 
 
 def svd_nuclear_norm(m):
@@ -286,7 +284,7 @@ def test_prox_nuclear_rank_hint_and_spectrum(case, monkeypatch):
     kept = int(np.sum(s > t))
     ref = svd_prox(m, t)
     for hint in (None, 0, kept, max(kept - 2, 0), kept + 3, min(m.shape)):
-        out, spec = prox_nuclear(m, t, rank_hint=hint, spectrum=True)
+        out, spec, u, v = prox_nuclear(m, t, rank_hint=hint, factors=True)
         assert np.linalg.norm(out - ref, 2) <= 1e-12 * s[0]
         assert np.array_equal(out, prox_nuclear(m, t, rank_hint=hint))
         s_out = np.linalg.svd(out, compute_uv=False)
@@ -294,8 +292,6 @@ def test_prox_nuclear_rank_hint_and_spectrum(case, monkeypatch):
         np.testing.assert_allclose(np.sort(spec)[::-1], s_out[:spec.size],
                                    rtol=0, atol=1e-12 * s[0])
         assert np.all(s_out[spec.size:] <= 1e-12 * s[0])
-        same, factored, u, v = prox_nuclear(m, t, rank_hint=hint, factors=True)
-        assert np.array_equal(same, out) and np.array_equal(factored, spec)
         assert u.shape == (m.shape[0], spec.size) and v.shape == (m.shape[1], spec.size)
         assert np.linalg.norm((u * spec) @ v.T - out, 2) <= 1e-12 * s[0]
         np.testing.assert_allclose(u.T @ u, np.eye(spec.size), atol=1e-8)
@@ -324,17 +320,15 @@ def test_singular_pairs_above_match_the_svd(p, q):
 
 def test_prox_nuclear_spectrum_edge_cases():
     m = np.diag([3.0, 1.0, 0.5])
-    out, spec = prox_nuclear(m, 2.0, spectrum=True)
+    out, spec, _, _ = prox_nuclear(m, 2.0, factors=True)
     np.testing.assert_allclose(out, np.diag([1.0, 0.0, 0.0]), atol=1e-15)
     np.testing.assert_allclose(spec, [1.0], rtol=1e-15)
     for hint in (None, 0):
-        out, spec = prox_nuclear(m, 5.0, rank_hint=hint, spectrum=True)
+        out, spec, _, _ = prox_nuclear(m, 5.0, rank_hint=hint, factors=True)
         assert not np.any(out) and spec.size == 0
-    assert prox_nuclear(m, 0.0, spectrum=True)[1] is None
     assert prox_nuclear(m, 0.0, factors=True)[1:] == (None, None, None)
-    out, spec = prox_nuclear(np.zeros((0, 3)), 1.0, spectrum=True)
+    out, spec, u, v = prox_nuclear(np.zeros((0, 3)), 1.0, factors=True)
     assert out.shape == (0, 3) and spec.size == 0
-    _, _, u, v = prox_nuclear(np.zeros((0, 3)), 1.0, factors=True)
     assert u.shape == (0, 0) and v.shape == (3, 0)
 
 
@@ -351,8 +345,8 @@ def test_prox_nuclear_falls_back_to_svd_below_gram_resolution(p, q, monkeypatch)
     m = with_singular_values(rng, p, q, [1.0, 1e-3, 1e-6, 3e-10, 1.5e-10, 5e-11, 1e-12])
     cut = prox_module.GRAM_RESOLUTION * np.sqrt(max(p, q) * prox_module.EPS)
     assert t < cut
-    out, spec = prox_nuclear(m, t, spectrum=True)
-    assert calls == [t] and spec is None
+    out, spec, u, v = prox_nuclear(m, t, factors=True)
+    assert calls == [t] and spec is None and u is None and v is None
     assert np.linalg.norm(out - svd_prox(m, t), 2) <= 1e-14
     # the kept singular values just above t come out at (sigma - t)
     s = np.linalg.svd(out, compute_uv=False)

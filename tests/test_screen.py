@@ -1,6 +1,7 @@
 """Screening rule: region geometry, the coefficient bounds, reduction."""
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -31,7 +32,6 @@ from tracereg.path import RANK_RTOL
 from tracereg.screen import (
     DEFAULT_EPSILON_REL,
     _f_opt_batch,
-    bound_ceiling,
     bound_matrix,
     cross_bounds,
     gamma_for,
@@ -117,8 +117,12 @@ def arc_maximum(gamma, scalars):
     return float(c @ gamma) + max(float(vals[i]), h(0.5 * (lo + hi)))
 
 
+@functools.lru_cache(maxsize=None)
 def oracle_path(p, q, n, seed, k=8):
-    """A Gaussian problem's weights, Gram factor and warm full path at tol 1e-10."""
+    """A Gaussian problem's weights, Gram factor and warm full path at tol 1e-10.
+
+    Cached: several tests walk the same paths, and none of them alters one.
+    """
     problem, _ = gen_gaussian(GaussianSpec(p=p, q=q, n=n, seed=seed))
     weights, schedule, gram = prepare(problem, k=k)
     oracle = AdmmConfig(tol_primal=1e-10, tol_dual=1e-10)
@@ -436,7 +440,7 @@ def test_path_bound_covers_the_converged_next_solution(seed):
             lambda0=prev.lam, lam=cur.lam, theta_prev=prev.theta,
             gram=gram, U=bases.U_full, V=bases.V_full,
         )
-        w = screen(context).W
+        w = bound_matrix(context)
         excess = np.abs(bases.U_full.T @ cur.solution.B @ bases.V_full) - w
         missed = excess > 1e-6 * (1.0 + w.max())
         if missed.any():
@@ -467,7 +471,7 @@ def test_descending_bound_covers_the_converged_next_solution(p, q, n, seed):
     weights, gram, records = oracle_path(p, q, n, seed)
     violations = []
     for context, cur in descending_steps(weights, gram, records):
-        w = screen(context).W
+        w = bound_matrix(context)
         excess = np.abs(context.U.T @ cur.solution.B @ context.V) - w
         missed = excess > 1e-6 * (1.0 + w.max())
         if missed.any():
@@ -480,19 +484,19 @@ def test_descending_bound_covers_the_converged_next_solution(p, q, n, seed):
 
 def test_screen_batch_matches_per_pair_bounds():
     context, problem, _ = pipeline_context(1, p=3, q=4, n=8)
-    outcome = screen(context)
+    w = bound_matrix(context)
     s = compute_scalars(context)
-    scale = 1.0 + float(np.max(np.abs(outcome.W)))
+    scale = 1.0 + float(np.max(np.abs(w)))
     for j in range(problem.p):
         for k in range(problem.q):
             expected = max(p_values(context, s, j, k))
-            assert abs(outcome.W[j, k] - expected) <= 1e-12 * scale
+            assert abs(w[j, k] - expected) <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("p, q, n", [(3, 4, 8), (4, 4, 16)])
 def test_screen_reads_the_base_term_from_gamma(monkeypatch, p, q, n):
     # <B_ls, u_j v_k^T> = <y, gamma>/(n lam): every screen solves its cross
-    # (p + q right-hand sides), reading W solves the designs once per factor,
+    # (p + q right-hand sides), building W solves the designs once per factor,
     # no screen solves the response, and at every step of a path W and
     # p_values match the bounds with base U^T B_ls V
     problem, _ = gen_gaussian(GaussianSpec(p=p, q=q, n=n, seed=2))
@@ -511,7 +515,8 @@ def test_screen_reads_the_base_term_from_gamma(monkeypatch, p, q, n):
         context = ScreenContext(lambda0=lam0, lam=cur.lam, theta_prev=theta0,
                                 gram=fresh, U=bases.U_full, V=bases.V_full)
         shapes.clear()
-        w = screen(context).W
+        screen(context)
+        w = bound_matrix(context)
         assert shapes == [(n, p + q)] + ([(n, p * q)] if cur is records[-1] else [])
         s = compute_scalars(context)
         base = bases.U_full.T @ b_ls @ bases.V_full
@@ -530,26 +535,60 @@ def test_screen_reads_the_base_term_from_gamma(monkeypatch, p, q, n):
 def test_screen_bound_matrix_nonnegative():
     for seed in range(5):
         context, _, _ = pipeline_context(seed)
-        outcome = screen(context)
-        scale = 1.0 + float(np.max(np.abs(outcome.W)))
-        assert outcome.W.min() >= -1e-10 * scale
+        w = bound_matrix(context)
+        scale = 1.0 + float(np.max(np.abs(w)))
+        assert w.min() >= -1e-10 * scale
+
+
+def oracle_steps(p, q, n, seed):
+    """Every step of both oracle walks: down from lambda_max through the warm
+    path, and from each level up to the next larger one."""
+    weights, gram, records = oracle_path(p, q, n, seed)
+    for context, _ in descending_steps(weights, gram, records):
+        yield context
+    for prev, cur in zip(records[:-1], records[1:]):
+        bases = svd(prev.solution.B, full=True, rtol=RANK_RTOL)
+        yield ScreenContext(lambda0=prev.lam, lam=cur.lam, theta_prev=prev.theta,
+                            gram=gram, U=bases.U_full, V=bases.V_full)
+
+
+ORACLE_SHAPES = [(4, 4, 16), (3, 5, 15), (4, 6, 12)]
+
+
+def default_ceiling(w):
+    """DEFAULT_EPSILON_REL (1 + max |W|), widened by the 1e-12 (1 + max |W|)
+    by which a cross entry may differ from W's (check_cross_and_ceiling)."""
+    return DEFAULT_EPSILON_REL * (1.0 + float(np.max(np.abs(w)))) * (1.0 + 1e-12)
 
 
 def test_screen_default_epsilon():
-    context, _, _ = pipeline_context(2)
-    outcome = screen(context)
-    expected = DEFAULT_EPSILON_REL * (1.0 + float(np.max(np.abs(outcome.W))))
-    assert outcome.epsilon == pytest.approx(expected, rel=1e-15)
+    # the default threshold is read from the cross, which is part of W, so it
+    # is at most the one read from all of W; the screen decides as all of W
+    # does at that threshold
+    for p, q, n in ORACLE_SHAPES:
+        for seed in range(3):
+            for context in oracle_steps(p, q, n, seed):
+                outcome = screen(context)
+                w = np.abs(bound_matrix(context))
+                cross = np.abs(np.concatenate(cross_bounds(context, compute_scalars(context))))
+                assert outcome.epsilon == DEFAULT_EPSILON_REL * (1.0 + float(np.max(cross)))
+                assert outcome.epsilon <= default_ceiling(w)
+                np.testing.assert_array_equal(
+                    outcome.kept_rows, np.flatnonzero(np.max(w, axis=1) > outcome.epsilon))
+                np.testing.assert_array_equal(
+                    outcome.kept_cols, np.flatnonzero(np.max(w, axis=0) > outcome.epsilon))
 
 
 def check_cross_and_ceiling(context):
+    # the cross is W's first column and first row, so the default threshold
+    # read from it has the one read from all of W as its ceiling
     scalars = compute_scalars(context)
     w = bound_matrix(context, scalars)
     col, row = cross_bounds(context, scalars)
     scale = 1.0 + float(np.max(np.abs(w)))
     assert np.max(np.abs(col - w[:, 0])) <= 1e-12 * scale
     assert np.max(np.abs(row - w[0, :])) <= 1e-12 * scale
-    assert np.max(np.abs(w)) <= bound_ceiling(context, scalars)
+    assert screen(context).epsilon <= default_ceiling(w)
 
 
 def test_cross_and_ceiling_on_pipeline_steps():
@@ -558,18 +597,10 @@ def test_cross_and_ceiling_on_pipeline_steps():
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("p, q, n", [(4, 4, 16), (3, 5, 15), (4, 6, 12)])
+@pytest.mark.parametrize("p, q, n", ORACLE_SHAPES)
 def test_cross_and_ceiling_along_oracle_paths(p, q, n, seed):
-    # every step of both oracle walks: down from lambda_max through the warm
-    # path, and from each level up to the next larger one
-    weights, gram, records = oracle_path(p, q, n, seed)
-    for context, _ in descending_steps(weights, gram, records):
+    for context in oracle_steps(p, q, n, seed):
         check_cross_and_ceiling(context)
-    for prev, cur in zip(records[:-1], records[1:]):
-        bases = svd(prev.solution.B, full=True, rtol=RANK_RTOL)
-        check_cross_and_ceiling(ScreenContext(
-            lambda0=prev.lam, lam=cur.lam, theta_prev=prev.theta,
-            gram=gram, U=bases.U_full, V=bases.V_full))
 
 
 def test_a_given_epsilon_decides_as_the_full_bound_matrix():
@@ -589,7 +620,6 @@ def test_a_given_epsilon_decides_as_the_full_bound_matrix():
             outcome = screen(context, epsilon=epsilon)
             assert outcome.bounds_evaluated == bounds
             assert outcome.epsilon == epsilon
-            np.testing.assert_array_equal(outcome.W, w)
             np.testing.assert_array_equal(outcome.kept_rows, np.flatnonzero(row_peak > epsilon))
             np.testing.assert_array_equal(outcome.kept_cols, np.flatnonzero(col_peak > epsilon))
             np.testing.assert_array_equal(outcome.screened_rows,
@@ -609,16 +639,42 @@ def test_a_keep_all_screen_solves_the_designs_only_when_w_is_read(monkeypatch):
     assert outcome.bounds_evaluated == problem.p + problem.q - 1
     assert outcome.kept_rows.size == problem.p and outcome.kept_cols.size == problem.q
     assert built == []
-    w = outcome.W
+    w = bound_matrix(context)
     assert built == [1]
-    assert outcome.epsilon == DEFAULT_EPSILON_REL * (1.0 + float(np.max(np.abs(w))))
-    assert outcome.W is w and built == [1]
+    assert outcome.epsilon <= default_ceiling(w)
+
+
+def test_the_default_epsilon_drops_a_direction_the_design_never_reads():
+    # every X_i has a zero first column, so with identity bases the gamma of
+    # each (e_j, e_0) pair vanishes and W[:, 0] = 0 exactly: the cross fails,
+    # all of W decides at the cross's threshold and drops that column alone
+    problem, _ = gen_gaussian(GaussianSpec(p=4, q=5, n=10, seed=1))
+    x = problem.X.copy()
+    x[:, :, 0] = 0.0
+    problem = build_problem(x, problem.y)
+    weights, _, gram = prepare(problem, k=2)
+    lmax = lambda_max(problem, weights)
+    context = ScreenContext(lambda0=lmax, lam=0.5 * lmax,
+                            theta_prev=-problem.y / (problem.n * lmax),
+                            gram=gram, U=np.eye(4), V=np.eye(5))
+    outcome = screen(context)
+    assert outcome.bounds_evaluated == 20
+    assert outcome.screened_rows.size == 0
+    np.testing.assert_array_equal(outcome.screened_cols, [0])
+    np.testing.assert_array_equal(outcome.kept_cols, [1, 2, 3, 4])
+    col_peak = np.max(np.abs(bound_matrix(context)), axis=0)
+    assert col_peak[0] == 0.0
+    assert col_peak[1] == pytest.approx(0.313, abs=1e-3)
+    # and the dropped column is zero in the solution computed without screening
+    full = solve(make_instance(problem, weights, context.lam), TIGHT)
+    assert full.converged
+    assert np.max(np.abs(full.B[:, 0])) <= 1e-12 * (1.0 + np.max(np.abs(full.B)))
 
 
 def test_screen_partition_and_threshold_rule():
     context, problem, weights = pipeline_context(3)
-    outcome = screen(context, epsilon=float(np.median(outcome_w(context))))
-    w = outcome.W
+    w = bound_matrix(context)
+    outcome = screen(context, epsilon=float(np.median(np.abs(w))))
     row_peak = np.max(np.abs(w), axis=1)
     col_peak = np.max(np.abs(w), axis=0)
     np.testing.assert_array_equal(outcome.screened_rows,
@@ -648,10 +704,6 @@ def test_screened_path_restricts_the_cache_only_when_it_screens(monkeypatch):
     assert calls == []
     screened_path(problem, weights, schedule, epsilon=np.inf, gram=gram)
     assert len(calls) == schedule.k
-
-
-def outcome_w(context):
-    return np.abs(screen(context).W)
 
 
 def test_screen_everything_gives_empty_problem_and_zero_solution():
@@ -687,7 +739,7 @@ def test_restricted_solve_matches_the_rotated_reduced_instance():
     # rotated designs, composed maps and embedding bases, solved from scratch
     for seed in range(6):
         context, problem, weights = pipeline_context(seed)
-        peaks = np.max(np.abs(screen(context).W), axis=1)
+        peaks = np.max(np.abs(bound_matrix(context)), axis=1)
         for pct in (0.0, 50.0):
             outcome = screen(context, epsilon=float(np.percentile(peaks, pct)))
             assert outcome.screened_rows.size > 0
