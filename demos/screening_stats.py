@@ -3,9 +3,10 @@
 At the default threshold the rule only removes a basis direction whose
 coefficient bound reads zero. Here that removes nothing, so the screened
 path solves every level as the full path does. Each screen settles that
-from the first row and column of the bound matrix, 15 + 45 - 1 = 59 bounds
-(the bounds column) instead of all 675; under a raised epsilon, a level
-where one of those falls below it evaluates all 675. The bound is not
+from a lower bound on all 675 entries of the bound matrix, read from one
+Gram solve, and evaluates no bound itself (the bounds column reads 0);
+under a raised epsilon, a level where a row or column of the lower bound
+falls below it evaluates all 675. The bound is not
 sound for n < pq (15 x 45 with n = 30 here): converged solutions exceed it.
 Raising epsilon by hand gives smaller solves; the objective drift below
 measures what they cost.

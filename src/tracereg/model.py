@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.lapack import dpocon
+from scipy.linalg.lapack import dpocon, dpotrs
 
 # dpocon's reciprocal condition estimate of X X^T at or below which GramFactor
 # refuses the design. On 4 x 5, n = 10 designs it read 3e-9 to 6e-9 at a
@@ -113,8 +113,14 @@ class GramFactor:
                 f"rcond(X X^T) {rcond:.1e} is at most GRAM_RCOND = {GRAM_RCOND:.0e}")
 
     def solve(self, z):
-        """(stacked stacked^T)^{-1} z for a vector or a matrix of columns."""
-        return scipy.linalg.cho_solve(self._cho, z, check_finite=False)
+        """(stacked stacked^T)^{-1} z for a vector or a matrix of columns.
+
+        LAPACK potrs on the stored factor, as cho_solve without its checks.
+        """
+        x, info = dpotrs(self._cho[0], z, lower=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"LAPACK potrs failed (info={info})")
+        return x
 
     @cached_property
     def solved_designs(self):
@@ -123,8 +129,8 @@ class GramFactor:
         The solve mixes rows and a rotation U^T A_i V mixes entries within
         a row, so the two commute: the full bound matrix W (screen.bound_matrix)
         rotates A instead of solving the rotated designs again. A screen that
-        its cross decides never reads A, so on the path A is solved only
-        when some level needs all of W.
+        its lower bound decides never reads A, so on the path A is solved
+        only when some level needs all of W.
         """
         n, p, q = self.problem.n, self.problem.p, self.problem.q
         return self.solve(self.problem.stacked).reshape(n, q, p).transpose(0, 2, 1)

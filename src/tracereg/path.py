@@ -8,11 +8,12 @@ step follows the sequential rule: the singular bases of the previous
 solution, and the level is solved on the path's FactorCache restricted to
 the directions it keeps (FactorCache.restrict). The first step starts from
 lambda_max itself, where B = 0 and the dual solution is -y/(n lambda_max),
-so every level is screened. A step that drops nothing leaves the level to
-be solved exactly as the full path solves it. Timing totals separate
-setup, solver and screening work so the two paths can be compared
-honestly; weight construction is shared preprocessing and excluded from
-both.
+so every level is screened; any orthogonal bases are singular bases of
+B = 0, and the standard bases are taken. A step that drops nothing leaves
+the level to be solved exactly as the full path solves it. Timing totals
+separate setup, solver and screening work so the two paths can be
+compared honestly; weight construction is shared preprocessing and
+excluded from both.
 
 A warm path starts each level from the quadratic in lambda through the
 solutions of the three levels above it (fewer above: their secant, their
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .admm import AdmmConfig, Solution, make_instance, precompute, solve
-from .model import GramFactor, min_norm_least_squares
+from .model import GramFactor
 from .prox import singular_values, svd
 from .screen import ScreenContext, screen
 
@@ -130,7 +131,8 @@ class PathRecord:
     screened_rows: int = 0
     screened_cols: int = 0
     kept_dims: tuple = None
-    bounds_evaluated: int = 0     # W entries the screen computed; 0 unscreened
+    bounds_evaluated: int = 0     # W entries the screen computed; 0 unscreened or
+                                  # decided by the lower bound (screen.lower_bound)
 
     @property
     def theta(self):
@@ -219,10 +221,9 @@ def _run_path(mode, problem, weights, schedule, config, warm_start, epsilon=None
     projected by cache.coordinates, and every level is certified by the same
     gap test whatever it starts from. The screened mode starts at lambda_max
     too: its dual solution there is -y/(n lambda_max), and any orthogonal
-    bases are singular bases of B = 0 (the least-squares estimate's are
-    taken). Each level is screened from the one solved before it: its dual
-    estimate and the full singular bases of its B, an SVD timed as
-    screening.
+    bases are singular bases of B = 0 (the standard bases are taken). Each
+    level is screened from the one solved before it: its dual estimate and
+    the full singular bases of its B, an SVD timed as screening.
     """
     config = config or AdmmConfig()
     screening = mode == "screened"
@@ -231,7 +232,7 @@ def _run_path(mode, problem, weights, schedule, config, warm_start, epsilon=None
     base = make_instance(problem, weights, schedule.values[0])
     cache = precompute(base)
     if screening:
-        bases = svd(min_norm_least_squares(problem, gram), full=True)
+        U, V = np.eye(problem.p), np.eye(problem.q)
         lam_prev = cache.lambda_max
         theta_prev = -problem.y / (problem.n * lam_prev)
     setup_ms = (time.perf_counter() - t0) * 1e3
@@ -245,14 +246,14 @@ def _run_path(mode, problem, weights, schedule, config, warm_start, epsilon=None
         if screening:
             t0 = time.perf_counter()
             context = ScreenContext(lambda0=lam_prev, lam=lam, theta_prev=theta_prev,
-                                    gram=gram, U=bases.U_full, V=bases.V_full)
+                                    gram=gram, U=U, V=V)
             outcome = screen(context, epsilon=epsilon)
             screened = (int(outcome.screened_rows.size), int(outcome.screened_cols.size))
             kept = (int(outcome.kept_rows.size), int(outcome.kept_cols.size))
             bounds = outcome.bounds_evaluated
             if any(screened):
-                level_cache = cache.restrict(base, bases.U_full[:, outcome.kept_rows],
-                                             bases.V_full[:, outcome.kept_cols])
+                level_cache = cache.restrict(base, U[:, outcome.kept_rows],
+                                             V[:, outcome.kept_cols])
             screen_ms = (time.perf_counter() - t0) * 1e3
 
         # a warm level's polish gate reads the rank of the level above
@@ -271,7 +272,7 @@ def _run_path(mode, problem, weights, schedule, config, warm_start, epsilon=None
         if screening:
             t0 = time.perf_counter()
             bases = svd(sol.B, full=True, rtol=RANK_RTOL)
-            rank = bases.rank
+            rank, U, V = bases.rank, bases.U_full, bases.V_full
             screen_ms += (time.perf_counter() - t0) * 1e3
         record = PathRecord(
             lam=lam,

@@ -72,14 +72,19 @@ class SvdTriple:
 
 
 def svd(m, full=False, rtol=None):
-    """SVD of m as an SvdTriple; rank cut at rtol * sigma_max.
+    """SVD of m as an SvdTriple, from LAPACK gesdd; rank cut at rtol * sigma_max.
 
     rtol defaults to max(p, q) * machine eps, the usual numerical-rank
     tolerance. A zero matrix yields rank 0 with empty thin factors.
     """
     m = np.asarray(m, dtype=float)
     p, q = m.shape
-    U, s, Vt = np.linalg.svd(m, full_matrices=full)
+    if m.size == 0:
+        # LAPACK gesdd rejects an empty matrix
+        U, s, Vt = np.linalg.svd(m, full_matrices=full)
+    else:
+        U, s, Vt, info = _gesdd(m, compute_uv=1, full_matrices=int(full))
+        _check_info(info, "gesdd")
     if rtol is None:
         rtol = max(p, q) * np.finfo(float).eps
     cut = rtol * s[0] if s.size and s[0] > 0 else 0.0

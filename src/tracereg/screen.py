@@ -28,14 +28,21 @@ degenerate plane-ball geometry). As B_ls = X^T (X X^T)^{-1} y,
     <B_ls, u_j v_k^T> = y^T (X X^T)^{-1} X vec(u_j v_k^T) = <y, gamma>/(n lambda),
 
 so the rule reads the base term from gamma and never forms B_ls. Rows and
-columns whose W entries all vanish are dropped from the problem; a screen
-first evaluates W's first column and first row, reads its default threshold
-from that cross, and builds the rest of W only when the cross does not
-already keep everything (see screen). The bound
-needs the coefficient to equal <gamma, theta + y/(n lambda)>, which holds
-only when vec(B) lies in the row space of the design (for every B when
-n = pq); for n < pq converged paths exceed W in either order (see the path
-oracle tests in tests/test_screen.py).
+columns whose W entries all vanish are dropped from the problem.
+
+theta_prev itself lies in Omega: on the plane and on the sphere. So
+f_opt(+-gamma) >= <+-gamma, theta_prev>, and
+
+    W[j, k] >= |<gamma, theta_prev + y/(n lambda)>| = |u_j^T M v_k| = L[j, k],
+    M = unvec(X^T (X X^T)^{-1} (y + n lambda theta_prev)),
+
+one Gram solve with one right-hand side for all pq entries (lower_bound).
+A screen reads its default threshold from L and builds W only when L
+does not already keep every row and column (see screen). W bounds the
+next solution only when its coefficient equals
+<gamma, theta + y/(n lambda)>, which holds only when vec(B) lies in the row
+space of the design (for every B when n = pq); for n < pq converged paths
+exceed W in either order (see the path oracle tests in tests/test_screen.py).
 """
 
 from __future__ import annotations
@@ -44,8 +51,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model import unvec
+
 # default screening threshold, relative: entries of W at most
-# DEFAULT_EPSILON_REL * (1 + max |cross|) count as zero (see screen)
+# DEFAULT_EPSILON_REL * (1 + max L) count as zero (see screen)
 DEFAULT_EPSILON_REL = 1e-9
 
 # relative cutoff below which the two-case split is ill conditioned and
@@ -190,18 +199,15 @@ def bound_matrix(context, scalars=None):
     return _bounds(context, scalars, gammas).reshape((p, q), order="F")
 
 
-def cross_bounds(context, scalars):
-    """W's first column W[:, 0] and first row W[0, :], from one Gram solve.
+def lower_bound(context):
+    """L = |U^T M V|, entrywise at most W, from one Gram solve (module docstring).
 
-    The right-hand sides u_j^T X_i v_0 and u_0^T X_i v_k come straight from
-    the designs: p + q of them, with W[0, 0] in both.
+    L can only show that a direction is kept, never that it is dropped.
     """
     problem = context.gram.problem
-    col = (problem.X @ context.V[:, 0]) @ context.U
-    row = (context.U[:, 0] @ problem.X) @ context.V
-    gammas = problem.n * context.lam * context.gram.solve(np.hstack([col, row]))
-    w = _bounds(context, scalars, gammas)
-    return w[:problem.p], w[problem.p:]
+    shifted = problem.y + problem.n * context.lam * np.asarray(context.theta_prev, dtype=float)
+    m = unvec(context.gram.row_space_map(shifted), problem.p, problem.q)
+    return np.abs(context.U.T @ m @ context.V)
 
 
 @dataclass(frozen=True)
@@ -212,7 +218,7 @@ class ScreenOutcome:
     screened_cols: np.ndarray
     kept_rows: np.ndarray
     kept_cols: np.ndarray
-    bounds_evaluated: int        # entries of W the screen computed: p + q - 1 or p q
+    bounds_evaluated: int        # entries of W the screen computed: 0 (L decided) or p q
     epsilon: float               # the threshold the screen decided on
 
 
@@ -221,28 +227,27 @@ def screen(context, epsilon=None):
 
     A row is dropped when every bound W[j, k] in it is at most epsilon, so
     one bound above it in each row and each column keeps everything. The
-    screen evaluates that cross first: W's first column and first row,
-    p + q - 1 bounds from one Gram solve. Without epsilon the threshold is
-    DEFAULT_EPSILON_REL (1 + max |cross|); the cross is part of W, so up to
-    rounding it is never above DEFAULT_EPSILON_REL (1 + max |W|). When
-    every cross entry exceeds the threshold the level keeps everything and
-    W is not built. Otherwise all pq bounds of W decide at the same
-    threshold, as bound_matrix evaluates them. The path solves the level on
-    the kept columns of U and V (FactorCache.restrict).
+    screen reads that from the lower bound L first (lower_bound: one Gram
+    solve with one right-hand side). Without epsilon the threshold is
+    DEFAULT_EPSILON_REL (1 + max L); as L <= W, up to rounding it is never
+    above DEFAULT_EPSILON_REL (1 + max |W|). When every row and every
+    column of L has an entry above the threshold, the level keeps
+    everything and W is not built. Otherwise all pq bounds of W decide at
+    the same threshold, as bound_matrix evaluates them. The path solves the
+    level on the kept columns of U and V (FactorCache.restrict).
     """
     p, q = context.gram.problem.p, context.gram.problem.q
-    scalars = compute_scalars(context)
-    cross = np.abs(np.concatenate(cross_bounds(context, scalars)))
+    low = lower_bound(context)
     if epsilon is None:
-        epsilon = DEFAULT_EPSILON_REL * (1.0 + float(np.max(cross)))
-    if np.all(cross > epsilon):
+        epsilon = DEFAULT_EPSILON_REL * (1.0 + float(np.max(low)))
+    if np.all(np.max(low, axis=1) > epsilon) and np.all(np.max(low, axis=0) > epsilon):
         return ScreenOutcome(
             screened_rows=np.arange(0), screened_cols=np.arange(0),
             kept_rows=np.arange(p), kept_cols=np.arange(q),
-            bounds_evaluated=p + q - 1, epsilon=epsilon,
+            bounds_evaluated=0, epsilon=epsilon,
         )
 
-    w = np.abs(bound_matrix(context, scalars))
+    w = np.abs(bound_matrix(context))
     row_dead = np.max(w, axis=1) <= epsilon
     col_dead = np.max(w, axis=0) <= epsilon
     return ScreenOutcome(

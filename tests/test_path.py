@@ -216,18 +216,38 @@ def test_full_path_times_the_rank_of_each_level(monkeypatch):
     assert all(r.solve_time_ms >= 2.0 for r in result.records)
 
 
-def test_screened_path_solves_the_gram_system_once_per_level(monkeypatch):
-    # B_ls once, then one solve of each screen's cross (p + q right-hand
-    # sides); every level keeps everything, so no screen solves the designs
-    problem, weights, sched, gram = small_case(seed=1)
+def spy_on_gram_solves(monkeypatch):
+    """The shapes of the right-hand sides every GramFactor.solve is given."""
     real_solve = GramFactor.solve
     shapes = []
     monkeypatch.setattr(GramFactor, "solve",
                         lambda self, z: shapes.append(np.shape(z)) or real_solve(self, z))
+    return shapes
+
+
+def test_screened_path_solves_the_gram_system_once_per_level(monkeypatch):
+    # one solve of each screen's lower bound (one right-hand side); every
+    # level keeps everything on it, so no screen solves the designs, and the
+    # first level's standard bases need no least-squares estimate
+    problem, weights, sched, gram = small_case(seed=1)
+    shapes = spy_on_gram_solves(monkeypatch)
     result = screened_path(problem, weights, sched, gram=gram)
     assert len(result.records) == 5
-    assert all(r.bounds_evaluated == problem.p + problem.q - 1 for r in result.records)
-    assert shapes == [(problem.n,)] + [(problem.n, problem.p + problem.q)] * 5
+    assert all(r.bounds_evaluated == 0 for r in result.records)
+    assert shapes == [(problem.n,)] * 5
+
+
+def test_warm_gaussian_screens_read_one_right_hand_side_per_level(monkeypatch):
+    # the benchmark's shape: the lower bound decides every level of a warm
+    # screened path, so no screen solves p + q or pq right-hand sides
+    problem, _ = gen_gaussian(GaussianSpec(p=15, q=45, n=30, seed=0))
+    weights, schedule, gram = prepare(problem, k=20)
+    shapes = spy_on_gram_solves(monkeypatch)
+    result = screened_path(problem, weights, schedule, gram=gram, warm_start=True)
+    assert all(r.converged for r in result.records)
+    assert [r.bounds_evaluated for r in result.records] == [0] * 20
+    assert [r.kept_dims for r in result.records] == [(15, 45)] * 20
+    assert shapes == [(problem.n,)] * 20
 
 
 def test_records_count_the_bounds_each_screen_evaluated():
@@ -235,7 +255,7 @@ def test_records_count_the_bounds_each_screen_evaluated():
     p, q = problem.p, problem.q
     assert [r.bounds_evaluated for r in full_path(problem, weights, sched).records] == [0] * 3
     kept = screened_path(problem, weights, sched, gram=gram).records
-    assert [r.bounds_evaluated for r in kept] == [p + q - 1] * 3
+    assert [r.bounds_evaluated for r in kept] == [0] * 3
     dropped = screened_path(problem, weights, sched, epsilon=np.inf, gram=gram).records
     assert [r.bounds_evaluated for r in dropped] == [p * q] * 3
     assert all(r.to_dict()["bounds_evaluated"] == r.bounds_evaluated for r in kept + dropped)

@@ -33,8 +33,8 @@ from tracereg.screen import (
     DEFAULT_EPSILON_REL,
     _f_opt_batch,
     bound_matrix,
-    cross_bounds,
     gamma_for,
+    lower_bound,
     p_values,
 )
 
@@ -135,8 +135,9 @@ def descending_steps(weights, gram, records):
     """(context, record) for each step of a screened path along converged records.
 
     The first step leaves lambda_max (B = 0, theta = -y/(n lambda_max), the
-    pilot's bases) for the largest level; each later one leaves a level for
-    the next smaller one with its theta and the full bases of its B.
+    pilot's bases; the path takes the standard bases, and at B = 0 any
+    orthogonal bases serve) for the largest level; each later one leaves a
+    level for the next smaller one with its theta and the full bases of its B.
     """
     problem = gram.problem
     lam0 = lambda_max(problem, weights)
@@ -495,10 +496,10 @@ def test_screen_batch_matches_per_pair_bounds():
 
 @pytest.mark.parametrize("p, q, n", [(3, 4, 8), (4, 4, 16)])
 def test_screen_reads_the_base_term_from_gamma(monkeypatch, p, q, n):
-    # <B_ls, u_j v_k^T> = <y, gamma>/(n lam): every screen solves its cross
-    # (p + q right-hand sides), building W solves the designs once per factor,
-    # no screen solves the response, and at every step of a path W and
-    # p_values match the bounds with base U^T B_ls V
+    # <B_ls, u_j v_k^T> = <y, gamma>/(n lam): every screen solves its lower
+    # bound (one right-hand side), building W solves the designs once per
+    # factor, and at every step of a path W and p_values match the bounds
+    # with base U^T B_ls V
     problem, _ = gen_gaussian(GaussianSpec(p=p, q=q, n=n, seed=2))
     weights, schedule, gram = prepare(problem, k=5)
     b_ls = min_norm_least_squares(problem, gram)
@@ -517,7 +518,7 @@ def test_screen_reads_the_base_term_from_gamma(monkeypatch, p, q, n):
         shapes.clear()
         screen(context)
         w = bound_matrix(context)
-        assert shapes == [(n, p + q)] + ([(n, p * q)] if cur is records[-1] else [])
+        assert shapes == [(n,)] + ([(n, p * q)] if cur is records[-1] else [])
         s = compute_scalars(context)
         base = bases.U_full.T @ b_ls @ bases.V_full
         tol = 1e-14 * (1.0 + np.max(np.abs(w)))
@@ -557,21 +558,20 @@ ORACLE_SHAPES = [(4, 4, 16), (3, 5, 15), (4, 6, 12)]
 
 def default_ceiling(w):
     """DEFAULT_EPSILON_REL (1 + max |W|), widened by the 1e-12 (1 + max |W|)
-    by which a cross entry may differ from W's (check_cross_and_ceiling)."""
+    by which an entry of L may exceed W's (check_lower_bound)."""
     return DEFAULT_EPSILON_REL * (1.0 + float(np.max(np.abs(w)))) * (1.0 + 1e-12)
 
 
 def test_screen_default_epsilon():
-    # the default threshold is read from the cross, which is part of W, so it
-    # is at most the one read from all of W; the screen decides as all of W
-    # does at that threshold
+    # the default threshold is read from L <= W, so it is at most the one
+    # read from all of W; the screen decides as all of W does at that threshold
     for p, q, n in ORACLE_SHAPES:
         for seed in range(3):
             for context in oracle_steps(p, q, n, seed):
                 outcome = screen(context)
                 w = np.abs(bound_matrix(context))
-                cross = np.abs(np.concatenate(cross_bounds(context, compute_scalars(context))))
-                assert outcome.epsilon == DEFAULT_EPSILON_REL * (1.0 + float(np.max(cross)))
+                low = lower_bound(context)
+                assert outcome.epsilon == DEFAULT_EPSILON_REL * (1.0 + float(np.max(low)))
                 assert outcome.epsilon <= default_ceiling(w)
                 np.testing.assert_array_equal(
                     outcome.kept_rows, np.flatnonzero(np.max(w, axis=1) > outcome.epsilon))
@@ -579,12 +579,54 @@ def test_screen_default_epsilon():
                     outcome.kept_cols, np.flatnonzero(np.max(w, axis=0) > outcome.epsilon))
 
 
+def check_lower_bound(context):
+    # theta_prev lies in Omega, so |<gamma, theta_prev + y/(n lam)>| <= W
+    w = np.abs(bound_matrix(context))
+    low = lower_bound(context)
+    assert low.shape == w.shape
+    assert np.max(low - w) <= 1e-12 * (1.0 + float(np.max(w)))
+
+
+def test_lower_bound_stays_under_w_on_pipeline_steps():
+    for seed in range(5):
+        check_lower_bound(pipeline_context(seed)[0])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("p, q, n", ORACLE_SHAPES)
+def test_lower_bound_stays_under_w_along_oracle_paths(p, q, n, seed):
+    for context in oracle_steps(p, q, n, seed):
+        check_lower_bound(context)
+
+
+def test_lower_bound_reads_the_row_space_map_of_the_shifted_response():
+    # L[j, k] = |<gamma, theta_prev + y/(n lam)>| pair by pair, and from
+    # lambda_max (theta_prev = -y/(n lambda_max)) in the standard bases
+    # L = (1 - lam/lambda_max) |B_ls|
+    context, problem, weights = pipeline_context(2, p=3, q=4, n=8)
+    s = compute_scalars(context)
+    low = lower_bound(context)
+    shifted = context.theta_prev + problem.y / (problem.n * context.lam)
+    for j in range(problem.p):
+        for k in range(problem.q):
+            ref = abs(float(gamma_for(context, s, j, k) @ shifted))
+            assert low[j, k] == pytest.approx(ref, rel=1e-10, abs=1e-14)
+    lmax = lambda_max(problem, weights)
+    at_max = identity_context(problem, context.gram, lmax, 0.25 * lmax,
+                              theta=-problem.y / (problem.n * lmax))
+    np.testing.assert_allclose(lower_bound(at_max),
+                               0.75 * np.abs(min_norm_least_squares(problem, context.gram)),
+                               rtol=1e-12)
+
+
 def check_cross_and_ceiling(context):
-    # the cross is W's first column and first row, so the default threshold
-    # read from it has the one read from all of W as its ceiling
+    # W's cross, its first column and first row, matches the per-pair bounds,
+    # and the default threshold has the one read from all of W as its ceiling
     scalars = compute_scalars(context)
     w = bound_matrix(context, scalars)
-    col, row = cross_bounds(context, scalars)
+    p, q = w.shape
+    col = [max(p_values(context, scalars, j, 0)) for j in range(p)]
+    row = [max(p_values(context, scalars, 0, k)) for k in range(q)]
     scale = 1.0 + float(np.max(np.abs(w)))
     assert np.max(np.abs(col - w[:, 0])) <= 1e-12 * scale
     assert np.max(np.abs(row - w[0, :])) <= 1e-12 * scale
@@ -604,17 +646,17 @@ def test_cross_and_ceiling_along_oracle_paths(p, q, n, seed):
 
 
 def test_a_given_epsilon_decides_as_the_full_bound_matrix():
-    # the cross decides only a threshold every cross entry clears; a threshold
-    # at a cross entry, at row-peak percentiles or at inf goes to all of W
+    # L decides only a threshold below its smallest row and column peak; a
+    # threshold at that peak, at W's row-peak percentiles or at inf goes to W
     for seed in range(3):
         context, problem, _ = pipeline_context(seed)
         p, q = problem.p, problem.q
-        scalars = compute_scalars(context)
-        w = bound_matrix(context, scalars)
-        low = float(np.min(np.abs(np.concatenate(cross_bounds(context, scalars)))))
+        w = bound_matrix(context)
+        bound = lower_bound(context)
+        low = float(min(np.min(np.max(bound, axis=1)), np.min(np.max(bound, axis=0))))
         row_peak = np.max(np.abs(w), axis=1)
         col_peak = np.max(np.abs(w), axis=0)
-        cases = [(1e-3 * low, p + q - 1), (low, p * q), (np.inf, p * q)]
+        cases = [(1e-3 * low, 0), (low, p * q), (np.inf, p * q)]
         cases += [(float(np.percentile(row_peak, pct)), p * q) for pct in (0.0, 50.0, 100.0)]
         for epsilon, bounds in cases:
             outcome = screen(context, epsilon=epsilon)
@@ -636,7 +678,7 @@ def test_a_keep_all_screen_solves_the_designs_only_when_w_is_read(monkeypatch):
                         property(lambda self: built.append(1) or real(self)))
     context = dataclasses.replace(context, gram=GramFactor(problem))
     outcome = screen(context)
-    assert outcome.bounds_evaluated == problem.p + problem.q - 1
+    assert outcome.bounds_evaluated == 0
     assert outcome.kept_rows.size == problem.p and outcome.kept_cols.size == problem.q
     assert built == []
     w = bound_matrix(context)
@@ -646,8 +688,8 @@ def test_a_keep_all_screen_solves_the_designs_only_when_w_is_read(monkeypatch):
 
 def test_the_default_epsilon_drops_a_direction_the_design_never_reads():
     # every X_i has a zero first column, so with identity bases the gamma of
-    # each (e_j, e_0) pair vanishes and W[:, 0] = 0 exactly: the cross fails,
-    # all of W decides at the cross's threshold and drops that column alone
+    # each (e_j, e_0) pair vanishes and W[:, 0] = L[:, 0] = 0 exactly: L
+    # fails, all of W decides at L's threshold and drops that column alone
     problem, _ = gen_gaussian(GaussianSpec(p=4, q=5, n=10, seed=1))
     x = problem.X.copy()
     x[:, :, 0] = 0.0
