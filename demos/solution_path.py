@@ -4,8 +4,12 @@ The path solves the grid top-down, from lambda_max * ratio to
 lambda_max * ratio^K, warm starting each level from the solutions of the
 levels above it, and prints it in ascending lambda; the weighted nuclear
 norm of the solution shrinks as the penalty grows. The newton column counts
-the solver's Newton steps on each level's identified rank (two per polish
-tried; see tracereg.admm.NEWTON_STEPS).
+the solver's Newton steps on each level's identified rank: two per round of
+each polish tried, and a polish runs more rounds while each halves the
+duality gap (see tracereg.admm.NEWTON_STEPS and NEWTON_GAP_SHRINK). The last
+lines total the path's prox evaluations (accepted iterations plus rejected
+backtracking trials) and Newton steps, the solver's deterministic work
+counts.
 """
 
 import numpy as np
@@ -32,4 +36,9 @@ for rec in result.records:
         f"{rec.lam:10.6f}  {rec.rank:4d}  {rec.iters:5d}  {sol.newton_steps:6d}  {sol.objective:9.6f}"
         f"  {penalty:9.6f}  {err:8.3f}"
     )
-print(f"\ntotal wall time {result.total_ms:.0f} ms for {len(result.records)} levels")
+iters = sum(rec.iters for rec in result.records)
+backtracks = sum(rec.solution.backtracks for rec in result.records)
+newton = sum(rec.solution.newton_steps for rec in result.records)
+print(f"\nprox evaluations {iters + backtracks} ({iters} iterations, {backtracks} backtracks),"
+      f" Newton steps {newton}")
+print(f"total wall time {result.total_ms:.0f} ms for {len(result.records)} levels")

@@ -62,18 +62,19 @@ lower bound. With the radial point alone the warm full paths above took
 Most failed checks late in a solve fail on first-order stationarity, not on
 the rank: before the polish below, 104 of 122 failed checks on the warm
 Gaussian path (seed 0) failed on dual infeasibility, and 112 of 113 on
-cross 32 x 32 n = 100. So after a
-failed check that passes FACE_GATE's gap test, with the prox's kept rank
-r >= 1 unchanged since the previous check, the iterate is polished on its
+cross 32 x 32 n = 100. So after a failed check with the prox's kept rank
+r >= 1 unchanged since the previous check (on a cold solve, also one that
+passes FACE_GATE's gap test; see below), the iterate is polished on its
 rank-r face: factored as C = A B^T, it takes NEWTON_STEPS damped Newton
 steps on the factored objective of Burer & Monteiro (Math. Program. 2003),
 a manifold acceleration in the sense of Bareilles, Iutzeler & Malick
 (Math. Program. 2022), and A B^T is certified by the same _check. A pass
 returns it (Solution.primal_kind "newton"); otherwise FISTA goes on from
-its own iterate with its momentum. The polish starts from the factors the
-prox computed for the checked iterate (prox_nuclear with factors=True), not
-from an SVD of it. The warm full paths above then take 227 / 217 / 215, 100
-and 178 prox evaluations, with 10 / 13 / 14, 10 and 10 levels certified on
+its own iterate with its momentum (a feasible miss first runs more rounds;
+see below). The polish starts from the factors the prox computed for the
+checked iterate (prox_nuclear with factors=True), not from an SVD of it.
+The warm full paths above then take 227 / 217 / 215, 100 and 178 prox
+evaluations, with 10 / 13 / 14, 10 and 10 levels certified on
 the polished point; at tolerance 1e-8 the Gaussian paths take 376 / 248 /
 268.
 
@@ -87,6 +88,21 @@ keeps the schedule of a check every CHECK_EVERY iterations. Checked at
 iteration 1 too, cold solves certified polished points short of the usual
 stationarity: on 40 small Gaussian solves at tolerance 1e-8, the subgradient
 residual of one read 6.2e-7, against at most 5.0e-14 on the schedule.
+
+On a warm solve the gap test held tries back at the right rank: at the
+iteration-1 checks of cross 32 x 32 n = 100, P - D at the unscaled residual
+reads 550 to 6 900 tol_primal. So a warm solve admits a try on the rank
+alone, and only a cold one also asks FACE_GATE's gap test (on cold solves
+too, rank alone certified polished points with a stationarity residual of
+3.2e-7 at tolerance 1e-8). And a try does not end at a polished point that
+fails its check but is dual feasible: it takes NEWTON_STEPS more steps from
+that point's own factors and checks again, round after round, while each
+round's gap is at most NEWTON_GAP_SHRINK times the previous round's, as
+Newton steps on an identified face converge fast (Bareilles, Iutzeler &
+Malick). A try that ends without a pass leaves FISTA's iterate and momentum
+as they were. The warm full paths then take 46 / 33 / 46, 28 and 73 prox
+evaluations and 34 / 32 / 34, 20 and 40 Newton steps, every level
+certified; 16 / 18 / 16, 8 and 3 of their levels certify at iteration 1.
 
 The unreduced problem has Xt_i = X_i and M1, M2 = W1, W2. A screened level
 runs on FactorCache.restrict, C = Q_L C' Q_R^T on the designs Q_L^T Z_i Q_R;
@@ -159,12 +175,15 @@ FACE_DELTA = 1e-2
 #   no gate      754 / 722 / 741, 215, 654      (36 / 22 / 19, 17, 8)
 # Without the gate the benchmark's Gaussian cold solves at 0.3 lambda_max
 # ran corrections that saved no prox step; at 100 they run none. (All of
-# these counts were measured before the Newton polish below.)
+# these counts were measured before the Newton polish below.) A cold solve's
+# polish gate reads the same test; a warm solve's reads the rank alone, as
+# the test held back tries at the right rank (see NEWTON_STEPS).
 FACE_GATE = 100.0
 
-# after a failed check whose gap passes the same gate, with the prox's kept
-# rank r >= 1 unchanged since the previous check, the solver factors the
-# iterate as C = A B^T on rank r and takes NEWTON_STEPS damped Newton steps
+# after a failed check with the prox's kept rank r >= 1 unchanged since the
+# previous check (on a cold solve, also with its gap within the same gate),
+# the solver factors the iterate as C = A B^T on rank r and takes
+# NEWTON_STEPS damped Newton steps
 # on phi(A, B) = ||Z vec(A B^T) - y||^2/2n + lambda (||A||_F^2 + ||B||_F^2)/2
 # (_newton_point), then checks A B^T. Prox evaluations on the warm full
 # paths of Gaussian 15 x 45 n = 30 (seeds 0-2) and cross 32 x 32 (n = 10,
@@ -173,7 +192,9 @@ FACE_GATE = 100.0
 # 178; 210 / 212 / 215, 100, 178. Three steps were slower in wall time on
 # four of the five paths (best of 7). With the check at iteration 1 the
 # two-step paths take 110 / 94 / 98, 52 and 163, and run 18 / 16 / 16, 10
-# and 13 tries. The Hessian's curvature term lambda I is raised to
+# and 13 tries; with warm tries admitted on the rank alone and continued
+# (NEWTON_GAP_SHRINK), 46 / 33 / 46, 28 and 73, and 15 / 13 / 16, 10 and 15
+# tries. The Hessian's curvature term lambda I is raised to
 # lambda' = lambda + (||G||_2 - lambda)_+ + NEWTON_DAMPING lambda, which makes
 # it positive definite whatever the rotation gauge (A Omega, B Omega) does,
 # so one Cholesky factorization per step suffices. A try (two steps and the
@@ -185,6 +206,25 @@ FACE_GATE = 100.0
 # try on the warm paths' own tries, one BLAS thread, shared 2-core machine).
 NEWTON_STEPS = 2
 NEWTON_DAMPING = 1e-10
+
+# a try whose polished point fails its check while dual feasible goes on
+# from that point's factors (A, B), NEWTON_STEPS more steps and a check per
+# round, while each round's gap is at most NEWTON_GAP_SHRINK times the
+# previous round's. A failed gap exceeds tol_primal, so a try runs at most
+# 2 + log2(g / tol_primal) rounds, g its first round's gap; the longest on
+# the paths below ran 5. Prox evaluations / Newton steps on the seven warm
+# full paths, Gaussian 15 x 45 n = 30 (seeds 0-2), cross 32 x 32 n = 10 and
+# 100, cross 64 x 64 n = 10 and 100, with warm tries admitted on the rank
+# alone, by factor:
+#   one round    78/42, 51/34, 51/34, 28/20, 112/46, 128/52, 109/38
+#   0.1          46/34, 33/32, 46/34, 28/20, 78/42, 87/64, 59/32
+#   0.25         46/34, 33/32, 46/34, 28/20, 78/42, 62/54, 59/32
+#   0.5 to 1     46/34, 33/32, 46/34, 28/20, 73/40, 42/42, 59/32
+# every level certified. A factor of 1 would let a try whose gap stalls run
+# without end. On Gaussian 10 x 15 n = 400 (seed 3, k = 30) one round and
+# 0.5 leave the same 6 of 30 levels uncertified, in 39 141 and 35 536
+# iterations.
+NEWTON_GAP_SHRINK = 0.5
 
 
 @dataclass(frozen=True)
@@ -373,7 +413,7 @@ class Solution:
     # has dual gauge <= 1 and D = ||y||^2/2n - ||n t + y||^2/2n
     dual_point: np.ndarray
     dual_kind: str         # "radial" (r/n scaled) or "face" (corrected, then scaled)
-    newton_steps: int      # Newton steps run, NEWTON_STEPS per polish tried
+    newton_steps: int      # Newton steps run, NEWTON_STEPS per round of each polish tried
     primal_kind: str       # "iterate" (FISTA's) or "newton" (the polished point)
 
 
@@ -501,26 +541,53 @@ def _check(instance, cache, zc, c, estimate, config):
     return face, nuclear, passes(face)
 
 
-def _newton_point(instance, cache, s, u, v):
-    """C = A B^T after NEWTON_STEPS damped Newton steps from the iterate's factors.
+def _polish(instance, cache, s, u, v, config):
+    """One Newton try on the iterate's rank-r face: (check, point, steps run).
 
     The iterate as the solver holds it, C^T, is u diag(s) v^T, the factors
-    of the prox that produced it (prox_nuclear with factors=True). The start
-    is the balanced pair A = v S^(1/2), B = u S^(1/2), where
-    ||C||_* = (||A||_F^2 + ||B||_F^2)/2. Returns (A B^T)^T and Z vec(A B^T),
-    or None when a factorization fails: the damping is relative to lambda,
-    so at lambda far below lambda_max rounding in J^T J/n can outweigh it
-    (Gaussian 4 x 4, n = 16, below 1e-5 lambda_max).
+    of the prox that produced it (prox_nuclear with factors=True). The try
+    starts from the balanced pair A = v S^(1/2), B = u S^(1/2), where
+    ||C||_* = (||A||_F^2 + ||B||_F^2)/2, and runs rounds of _newton_point,
+    each checked by _check. A round that fails its check but stays dual
+    feasible is followed by another from its own factors, as long as each
+    round's gap is at most NEWTON_GAP_SHRINK times the previous round's.
+    check is the passing _check and point the polished C^T, or both None
+    when the try ends without a pass: a failed factorization, an infeasible
+    point or a round that did not shrink the gap enough.
     """
     root = np.sqrt(s)
-    a, b = v * root, u * root
+    factors, steps, previous = (v * root, u * root), 0, math.inf
+    while True:
+        polished = _newton_point(instance, cache, *factors)
+        steps += NEWTON_STEPS
+        if polished is None:
+            return None, None, steps
+        point, zc, factors = polished
+        check = _check(instance, cache, zc, point, None, config)
+        certificate, nuclear, passed = check
+        if passed:
+            return check, point, steps
+        gap = certificate.gap(nuclear)
+        if certificate.infeasibility > config.tol_dual or gap > NEWTON_GAP_SHRINK * previous:
+            return None, None, steps
+        previous = gap
+
+
+def _newton_point(instance, cache, a, b):
+    """NEWTON_STEPS damped Newton steps from the factors (A, B) of C = A B^T.
+
+    Returns (A' B'^T)^T, Z vec(A' B'^T) and the new factors (A', B'), or
+    None when a factorization fails: the damping is relative to lambda, so
+    at lambda far below lambda_max rounding in J^T J/n can outweigh it
+    (Gaussian 4 x 4, n = 16, below 1e-5 lambda_max).
+    """
     try:
         for _ in range(NEWTON_STEPS):
             a, b = _newton_step(instance, cache, a, b)
     except np.linalg.LinAlgError:
         return None
     polished = b @ a.T
-    return polished, cache.Z @ polished.ravel()
+    return polished, cache.Z @ polished.ravel(), (a, b)
 
 
 def _newton_step(instance, cache, a, b):
@@ -639,7 +706,9 @@ def solve(instance, config=None, cache=None, warm_start=None, warm_rank=None):
     Solution.B for an instance without embedding bases. A warm solve is
     also checked at its first iteration, where the polish gate compares the
     prox's kept rank with warm_rank, the rank of the solution the start was
-    built from (None: no polish there). A cold solve ignores warm_rank.
+    built from (None: no polish there); its gate reads the rank alone, while
+    a cold solve's also reads FACE_GATE's gap test. A cold solve ignores
+    warm_rank.
     Returns the last iterate with converged=False when max_iter is hit;
     callers that require convergence must check the flag.
     """
@@ -727,16 +796,15 @@ def solve(instance, config=None, cache=None, warm_start=None, warm_rank=None):
             if converged:
                 break
             rank = None if spectrum is None else spectrum.size
-            if rank and rank == checked_rank and _unscaled_gap(
-                    instance, certificate, zc, nuclear) <= FACE_GATE * config.tol_primal:
+            if rank and rank == checked_rank and (warm or _unscaled_gap(
+                    instance, certificate, zc, nuclear) <= FACE_GATE * config.tol_primal):
                 # polish on the rank-r face; FISTA's own state is left as it is
-                polished = _newton_point(instance, cache, spectrum, left, right)
-                newton_steps += NEWTON_STEPS
-                newton = polished and _check(instance, cache, polished[1], polished[0],
-                                             None, config)
-                if newton and newton[2]:
+                newton, polished, steps = _polish(instance, cache, spectrum, left, right,
+                                                  config)
+                newton_steps += steps
+                if newton:
                     certificate, nuclear, converged = newton
-                    c, primal_kind = polished[0], "newton"
+                    c, primal_kind = polished, "newton"
                     break
             checked_rank = rank
 

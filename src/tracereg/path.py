@@ -27,9 +27,13 @@ identified rank (admm.NEWTON_STEPS) 227 / 217 / 215, 100 and 178. Each
 warm level also passes solve the rank of the level above, from its record:
 the solve checks its start at iteration 1, where the polish gate compares
 the kept rank with that one. The paths then take 110 / 94 / 98, 52 and
-163. Each record's dual_kind says which dual point certified its level,
-primal_kind whether FISTA's iterate or the polished point was certified,
-and newton_steps how many Newton steps the level ran. A full-path record's
+163. A warm solve's polish gate reads the rank alone, and a try goes on
+from a feasible polished point while each round halves the gap
+(admm.NEWTON_GAP_SHRINK): the paths then take 46 / 33 / 46, 28 and 73, and
+16 / 18 / 16, 8 and 3 of their levels certify at iteration 1. Each
+record's dual_kind says which dual point certified its level, primal_kind
+whether FISTA's iterate or the polished point was certified, and
+newton_steps how many Newton steps the level ran. A full-path record's
 rank is timed with its solve, as the next level's solve reads it; a
 screened record's comes from the SVD timed as screening.
 """
@@ -245,8 +249,9 @@ def _run_path(mode, problem, weights, schedule, config, warm_start, epsilon=None
         screened, kept, bounds = (0, 0), (problem.p, problem.q), 0
         if screening:
             t0 = time.perf_counter()
-            context = ScreenContext(lambda0=lam_prev, lam=lam, theta_prev=theta_prev,
-                                    gram=gram, U=U, V=V)
+            # the identity and a full SVD's bases are orthogonal by construction
+            context = ScreenContext.from_orthogonal_bases(lam_prev, lam, theta_prev,
+                                                          gram, U, V)
             outcome = screen(context, epsilon=epsilon)
             screened = (int(outcome.screened_rows.size), int(outcome.screened_cols.size))
             kept = (int(outcome.kept_rows.size), int(outcome.kept_cols.size))

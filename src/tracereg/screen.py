@@ -79,6 +79,26 @@ class ScreenContext:
     V: np.ndarray            # q x q right singular basis of B(lambda0)
 
     def __post_init__(self):
+        self._validate(orthogonal=False)
+
+    @classmethod
+    def from_orthogonal_bases(cls, lambda0, lam, theta_prev, gram, U, V):
+        """A context on bases orthogonal by construction, such as a full SVD's.
+
+        The step and the shapes are validated as the constructor validates
+        them; U^T U = I and V^T V = I, two dense products, are not.
+        """
+        context = object.__new__(cls)
+        context.__dict__.update(lambda0=lambda0, lam=lam, theta_prev=theta_prev,
+                                gram=gram, U=U, V=V)
+        context._validate(orthogonal=True)
+        return context
+
+    def _validate(self, orthogonal):
+        """ValueError on a step lambda0 -> lam with no width or bases of the wrong shape.
+
+        Unless orthogonal is true, bases that are not orthogonal raise too.
+        """
         if not (self.lambda0 > 0.0 and self.lam > 0.0 and self.lambda0 != self.lam):
             raise ValueError(
                 "need positive lambda0 != lam, "
@@ -88,7 +108,7 @@ class ScreenContext:
         for name, mat, dim in (("U", self.U, p), ("V", self.V, q)):
             if mat.shape != (dim, dim):
                 raise ValueError(f"{name} must be {dim} x {dim}, got {mat.shape}")
-            if np.linalg.norm(mat.T @ mat - np.eye(dim)) > 1e-8:
+            if not orthogonal and np.linalg.norm(mat.T @ mat - np.eye(dim)) > 1e-8:
                 raise ValueError(f"{name} is not orthogonal")
 
 

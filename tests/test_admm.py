@@ -194,7 +194,7 @@ def test_reported_gap_matches_independent_dual():
     assert kinds == ["radial", "radial", "face"]
 
 
-def unpolished(instance, cache, s, u, v):
+def unpolished(instance, cache, a, b):
     """A Newton polish that never yields a point, as when its factorization fails."""
     return None
 
@@ -387,7 +387,8 @@ def test_accepted_steps_satisfy_the_quadratic_bound(monkeypatch):
     # starts from LIPSCHITZ_SHRINK times the last accepted L, a rejected trial
     # is retried at min(LIPSCHITZ_GROW L, lipschitz), and the step accepted at
     # L satisfies the quadratic upper bound ||Z (c - x)||^2/n <= L ||c - x||^2
-    # of the loss around its extrapolation point x
+    # of the loss around its extrapolation point x. The polish is patched
+    # out: with it the cross16 solve certifies before any trial is rejected
     gauss, _ = gen_gaussian(GaussianSpec(p=5, q=6, n=8, seed=60))
     cross, _ = gen_shape(ShapeSpec("cross", size=16, n=10, seed=0))
     config = AdmmConfig(tol_primal=1e-10, tol_dual=1e-10)
@@ -407,6 +408,7 @@ def test_accepted_steps_satisfy_the_quadratic_bound(monkeypatch):
 
         with monkeypatch.context() as patch:
             patch.setattr(tracereg.admm, "prox_nuclear", spy)
+            patch.setattr(tracereg.admm, "_newton_point", unpolished)
             sol = solve(inst, config, cache=cache)
         assert sol.converged and sol.backtracks > 0
         assert len(trials) == sol.iters + sol.backtracks
@@ -494,8 +496,14 @@ def test_descending_warm_path_takes_fewer_proxes_than_the_ascending_one():
     # iteration, 110 and 52
     (GaussianSpec(p=15, q=45, n=30, rank=2, seed=0), 20, 121),
     (ShapeSpec("cross", size=32, n=10, seed=0), 10, 58),
+    # with a warm try admitted on the rank alone, and stepped on while its
+    # rounds halve the gap, 46, 28 and 73 (163 for cross32 n = 100 before)
+    (GaussianSpec(p=15, q=45, n=30, rank=2, seed=0), 20, 50),
+    (ShapeSpec("cross", size=32, n=10, seed=0), 10, 31),
+    (ShapeSpec("cross", size=32, n=100, seed=0), 10, 80),
 ], ids=["gaussian", "cross32", "gaussian-face", "cross32-face", "gaussian-newton",
-        "cross32-newton", "gaussian-first-check", "cross32-first-check"])
+        "cross32-newton", "gaussian-first-check", "cross32-first-check",
+        "gaussian-continued", "cross32-continued", "cross32-n100-continued"])
 def test_extrapolated_warm_path_takes_fewer_proxes(spec, k, limit):
     generate = gen_gaussian if isinstance(spec, GaussianSpec) else gen_shape
     problem, _ = generate(spec)
@@ -509,15 +517,93 @@ def test_extrapolated_warm_path_takes_fewer_proxes(spec, k, limit):
 @pytest.mark.parametrize("seed", range(3))
 def test_warm_levels_certify_at_their_first_iteration(seed):
     # a warm level is checked at iteration 1 as well, where the polish gate
-    # compares the kept rank with the rank of the level above. Measured: 13,
-    # 12 and 13 of the 20 levels certify there, FISTA's first iterate or its
-    # polish, and the paths take 110 / 94 / 98 prox evaluations
+    # compares the kept rank with the rank of the level above. Measured: 16,
+    # 18 and 16 of the 20 levels certify there, FISTA's first iterate or its
+    # polish, and the paths take 46 / 33 / 46 prox evaluations (13, 12 and 13
+    # levels and 110 / 94 / 98 proxes while the gate also read the unscaled
+    # gap and a try stopped after one round)
     problem, _ = gen_gaussian(GaussianSpec(p=15, q=45, n=30, rank=2, seed=seed))
     weights, schedule, _ = prepare(problem, k=20)
     result = full_path(problem, weights, schedule, warm_start=True)
     assert all(r.converged for r in result.records)
     assert sum(r.iters == 1 for r in result.records) >= 10
     assert any(r.iters == 1 and r.solution.primal_kind == "newton" for r in result.records)
+
+
+def test_a_warm_try_is_admitted_on_the_rank_alone(monkeypatch):
+    # a warm solve tries the polish whenever the prox's kept rank equals the
+    # rank at the previous check, at iteration 1 the level above's, whatever
+    # P - D at the unscaled residual reads. On this path that gap reads 550
+    # to 6 900 tol at the iteration-1 checks, far above FACE_GATE tol, which
+    # held every try there back: 0 levels certified at iteration 1 and the
+    # path took 163 prox evaluations. Measured now: 6 of the 9 warm levels
+    # try at iteration 1, 3 certify there, and the path takes 73
+    admm = tracereg.admm
+    check, newton_point, level_solve = admm._check, admm._newton_point, tracereg.path.solve
+    events = []
+
+    def spy_check(instance, cache, zc, c, estimate, config):
+        out = check(instance, cache, zc, c, estimate, config)
+        if estimate is not None:    # FISTA's checks; a polished point's passes None
+            certificate, nuclear, _ = out
+            gap = admm._unscaled_gap(instance, certificate, zc, nuclear)
+            events.append(("check", gap / config.tol_primal))
+        return out
+
+    def spy_solve(*args, **kwargs):
+        events.append(("level", kwargs["warm_start"] is not None))
+        return level_solve(*args, **kwargs)
+
+    problem, _ = gen_shape(ShapeSpec("cross", size=32, n=100, seed=0))
+    weights, schedule, _ = prepare(problem, k=10)
+    with monkeypatch.context() as patch:
+        patch.setattr(admm, "_check", spy_check)
+        patch.setattr(admm, "_newton_point", lambda *args: events.append(("try",))
+                      or newton_point(*args))
+        patch.setattr(tracereg.path, "solve", spy_solve)
+        result = full_path(problem, weights, schedule, warm_start=True)
+    assert all(r.converged for r in result.records)
+    # the unscaled gap of each warm level's first check that a try followed
+    first_tries = [events[i + 1][1] for i in range(len(events) - 2)
+                   if events[i] == ("level", True) and events[i + 2] == ("try",)]
+    assert any(gap > admm.FACE_GATE for gap in first_tries)
+    assert any(r.iters == 1 and r.solution.primal_kind == "newton" for r in result.records)
+
+
+def test_a_try_that_does_not_halve_its_gap_ends(monkeypatch):
+    # a polished point that fails its check while dual feasible is stepped on
+    # from its own factors, but only while each round halves the gap
+    # (NEWTON_GAP_SHRINK). Here every round hands back the point it started
+    # from, so a try's second round reads its first round's gap, and the try
+    # must end there: the path runs the iterates it runs with the polish
+    # patched out (compare test_a_failed_polish_leaves_fistas_iterate).
+    # Measured: 21 of the path's 134 tries reach a second round
+    rounds = []     # [the factors' A a try's last round returned, its rounds]
+
+    def stalled(instance, cache, a, b):
+        if rounds and a is rounds[-1][0]:
+            # a second round receives the factors the first one returned
+            rounds[-1][1] += 1
+            assert rounds[-1][1] <= 2, "a try went on though its gap did not shrink"
+        else:
+            rounds.append([a, 1])
+        point = b @ a.T
+        return point, cache.Z @ point.ravel(), (a, b)
+
+    problem, _ = gen_gaussian(GaussianSpec(p=15, q=45, n=30, rank=2, seed=0))
+    weights, schedule, _ = prepare(problem, k=20)
+    with monkeypatch.context() as patch:
+        patch.setattr(tracereg.admm, "_newton_point", stalled)
+        sol = full_path(problem, weights, schedule, warm_start=True)
+        patch.setattr(tracereg.admm, "_newton_point", unpolished)
+        plain = full_path(problem, weights, schedule, warm_start=True)
+    assert any(count == 2 for _, count in rounds)
+    assert sum(r.solution.newton_steps for r in sol.records) == (
+        tracereg.admm.NEWTON_STEPS * sum(count for _, count in rounds))
+    for a, b in zip(sol.records, plain.records):
+        assert a.converged and a.solution.primal_kind == "iterate"
+        assert a.iters == b.iters
+        np.testing.assert_array_equal(a.solution.B, b.solution.B)
 
 
 def test_only_a_warm_solve_is_checked_before_check_every(monkeypatch):
@@ -681,10 +767,10 @@ def test_a_failed_polish_leaves_fistas_iterate(monkeypatch):
     # a Newton point that cannot certify is never returned: with the polish
     # perturbed, every solve certifies FISTA's own iterate, at the same
     # iteration as with the polish patched out
-    def perturbed(instance, cache, s, u, v):
-        point = (u * s) @ v.T
+    def perturbed(instance, cache, a, b):
+        point = b @ a.T
         point += 1e-3 * np.abs(point).max()
-        return point, cache.Z @ point.ravel()
+        return point, cache.Z @ point.ravel(), (a, b)
 
     config = AdmmConfig(tol_primal=1e-8, tol_dual=1e-8)
     for seed in (21, 22, 23, 50, 51):

@@ -238,6 +238,34 @@ def test_context_validation():
         ScreenContext(lambda0=0.5, lam=1.0, **bad)
 
 
+def test_a_context_on_orthogonal_bases_skips_only_their_check(monkeypatch):
+    # the path's own bases, the identity and a full SVD's, are orthogonal by
+    # construction: their context validates the step and the shapes but not
+    # U^T U = I (building a context takes 2.0 us in place of 24 us at
+    # 15 x 45 n = 30), and it equals the constructor's context. Every screen
+    # of a path builds one
+    problem, _ = gen_gaussian(GaussianSpec(p=2, q=3, n=4, seed=5))
+    weights, schedule, gram = prepare(problem, k=3)
+    ok = dict(theta_prev=np.zeros(4), gram=gram, U=np.eye(2), V=np.eye(3))
+    context = ScreenContext.from_orthogonal_bases(lambda0=1.0, lam=0.5, **ok)
+    assert context == ScreenContext(lambda0=1.0, lam=0.5, **ok)
+    with pytest.raises(ValueError, match="need positive lambda0 != lam"):
+        ScreenContext.from_orthogonal_bases(lambda0=1.0, lam=1.0, **ok)
+    with pytest.raises(ValueError, match="U must be 2 x 2"):
+        ScreenContext.from_orthogonal_bases(lambda0=1.0, lam=0.5, **dict(ok, U=np.eye(3)))
+    sheared = dict(ok, V=np.full((3, 3), 0.5))
+    assert ScreenContext.from_orthogonal_bases(lambda0=1.0, lam=0.5, **sheared).V is sheared["V"]
+
+    checks = []
+    validate = ScreenContext._validate
+    monkeypatch.setattr(ScreenContext, "_validate",
+                        lambda self, orthogonal: checks.append(orthogonal)
+                        or validate(self, orthogonal))
+    result = screened_path(problem, weights, schedule, gram=gram)
+    assert all(r.converged for r in result.records)
+    assert checks == [True] * schedule.k
+
+
 # ------------------------------------------------------------------ f_opt
 
 
