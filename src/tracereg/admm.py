@@ -149,6 +149,7 @@ TINY = np.finfo(float).tiny
 
 _posv = lapack.dposv
 _potrf = lapack.dpotrf
+_trtri = lapack.dtrtri
 _trtrs = lapack.dtrtrs
 
 # the face-corrected dual point (_face_certificate) moves the residual onto
@@ -197,12 +198,14 @@ FACE_GATE = 100.0
 # tries. The Hessian's curvature term lambda I is raised to
 # lambda' = lambda + (||G||_2 - lambda)_+ + NEWTON_DAMPING lambda, which makes
 # it positive definite whatever the rotation gauge (A Omega, B Omega) does,
-# so one Cholesky factorization per step suffices. A try (two steps and the
-# check, from the prox's factors and on the whitened Woodbury system) costs
-# 0.37-0.52 ms at 15 x 45 (r = 3), 0.36-0.37 ms at 32 x 32 n = 10 (r = 1),
-# and 0.86 ms (r = 1) to 2.3-3.5 ms (r = 8) at 32 x 32 n = 100, against
-# 0.60-1.35, 0.52-0.94, 1.7 and 5.1-5.9 ms from an SVD of the iterate and
-# Woodbury's system solved through D^-1 on every column of J (best of 5 per
+# so one Cholesky factorization per step suffices. Each round's first step
+# takes G and ||G||_2 from the radial certificate of the check just before
+# it, which holds them at the same point (_polish). A try's first round
+# (two steps and the check, from the prox's factors and on the whitened
+# Woodbury system) costs 0.33-0.55 ms at 15 x 45 (r = 3), 0.31-0.39 ms at
+# 32 x 32 n = 10 (r = 1), and 0.77 ms (r = 1) to 1.7-2.3 ms (r = 7-8) at
+# 32 x 32 n = 100, against 0.38-0.61, 0.34-0.39, 0.80 and 2.0-3.0 ms with
+# the gradient recomputed and L applied by triangular solves (best of 5 per
 # try on the warm paths' own tries, one BLAS thread, shared 2-core machine).
 NEWTON_STEPS = 2
 NEWTON_DAMPING = 1e-10
@@ -429,12 +432,13 @@ class _Certificate(NamedTuple):
 
     point is a dual feasible point in theta's scale and dual its D;
     gradient is G = unvec(Z^T r')/n at the residual r' that point scales
-    (r itself on the radial point).
+    (r itself on the radial point), and dual_norm its ||G||_2.
     """
 
     residual: np.ndarray
     fit: float             # ||r||^2/2n
     gradient: np.ndarray
+    dual_norm: float
     point: np.ndarray
     dual: float
     y_sq: float            # ||y||^2/2n
@@ -465,8 +469,8 @@ def _certificate(instance, cache, zc):
     point, dual = _scaled_point(instance, r, dual_norm)
     y_sq = 0.5 / n * float(y @ y)
     infeasibility = max(dual_norm - lam, 0.0) / max(cache.lambda_max, TINY)
-    return _Certificate(r, 0.5 / n * float(r @ r), gradient, point, dual, y_sq, lam,
-                        infeasibility, "radial")
+    return _Certificate(r, 0.5 / n * float(r @ r), gradient, dual_norm, point, dual, y_sq,
+                        lam, infeasibility, "radial")
 
 
 def _face_certificate(instance, cache, certificate):
@@ -497,8 +501,10 @@ def _face_certificate(instance, cache, certificate):
         return None
     moved = r + a @ w
     gradient = unvec(cache.Z.T @ moved, d1, d2) / n
-    point, dual = _scaled_point(instance, moved, spectral_norm(gradient))
-    return certificate._replace(gradient=gradient, point=point, dual=dual, kind="face")
+    dual_norm = spectral_norm(gradient)
+    point, dual = _scaled_point(instance, moved, dual_norm)
+    return certificate._replace(gradient=gradient, dual_norm=dual_norm, point=point,
+                                dual=dual, kind="face")
 
 
 def _unscaled_gap(instance, certificate, zc, nuclear):
@@ -541,16 +547,19 @@ def _check(instance, cache, zc, c, estimate, config):
     return face, nuclear, passes(face)
 
 
-def _polish(instance, cache, s, u, v, config):
+def _polish(instance, cache, s, u, v, certificate, config):
     """One Newton try on the iterate's rank-r face: (check, point, steps run).
 
     The iterate as the solver holds it, C^T, is u diag(s) v^T, the factors
-    of the prox that produced it (prox_nuclear with factors=True). The try
-    starts from the balanced pair A = v S^(1/2), B = u S^(1/2), where
-    ||C||_* = (||A||_F^2 + ||B||_F^2)/2, and runs rounds of _newton_point,
-    each checked by _check. A round that fails its check but stays dual
-    feasible is followed by another from its own factors, as long as each
-    round's gap is at most NEWTON_GAP_SHRINK times the previous round's.
+    of the prox that produced it (prox_nuclear with factors=True), and
+    certificate is its failed check. The try starts from the balanced pair
+    A = v S^(1/2), B = u S^(1/2), where ||C||_* = (||A||_F^2 + ||B||_F^2)/2,
+    and runs rounds of _newton_point, each checked by _check. A round that
+    fails its check but stays dual feasible is followed by another from its
+    own factors, as long as each round's gap is at most NEWTON_GAP_SHRINK
+    times the previous round's. Each round starts from the gradient of the
+    check before it when that check's point is radial; a face point's
+    gradient is the moved residual's, not the point's.
     check is the passing _check and point the polished C^T, or both None
     when the try ends without a pass: a failed factorization, an infeasible
     point or a round that did not shrink the gap enough.
@@ -558,7 +567,10 @@ def _polish(instance, cache, s, u, v, config):
     root = np.sqrt(s)
     factors, steps, previous = (v * root, u * root), 0, math.inf
     while True:
-        polished = _newton_point(instance, cache, *factors)
+        start = None
+        if certificate.kind == "radial":
+            start = certificate.gradient, certificate.dual_norm
+        polished = _newton_point(instance, cache, *factors, start=start)
         steps += NEWTON_STEPS
         if polished is None:
             return None, None, steps
@@ -573,9 +585,11 @@ def _polish(instance, cache, s, u, v, config):
         previous = gap
 
 
-def _newton_point(instance, cache, a, b):
+def _newton_point(instance, cache, a, b, start=None):
     """NEWTON_STEPS damped Newton steps from the factors (A, B) of C = A B^T.
 
+    start is (G, ||G||_2) at A B^T (see _newton_step) when a check has just
+    computed them, so that the first step skips them, else None.
     Returns (A' B'^T)^T, Z vec(A' B'^T) and the new factors (A', B'), or
     None when a factorization fails: the damping is relative to lambda, so
     at lambda far below lambda_max rounding in J^T J/n can outweigh it
@@ -583,14 +597,15 @@ def _newton_point(instance, cache, a, b):
     """
     try:
         for _ in range(NEWTON_STEPS):
-            a, b = _newton_step(instance, cache, a, b)
+            a, b = _newton_step(instance, cache, a, b, start)
+            start = None
     except np.linalg.LinAlgError:
         return None
     polished = b @ a.T
     return polished, cache.Z @ polished.ravel(), (a, b)
 
 
-def _newton_step(instance, cache, a, b):
+def _newton_step(instance, cache, a, b, start=None):
     """One damped Newton step on phi(A, B) (see NEWTON_STEPS); the new (A, B).
 
     With rho = Z vec(A B^T) - y and G = unvec(Z^T rho)/n, the gradient is
@@ -600,19 +615,23 @@ def _newton_step(instance, cache, a, b):
     lambda I. H (P, Q) = -g is solved through the smaller system: H itself
     when n >= r (d1 + d2) (_dense_direction), else the n-square one of
     Woodbury's identity (_woodbury_direction). P and Q are flattened
-    row-major, d1 x r then d2 x r.
+    row-major, d1 x r then d2 x r. start is (G, ||G||_2), or None to compute
+    them at A B^T.
     """
     n, lam, y = instance.n, instance.lam, instance.y
     d1, d2 = cache.d1, cache.d2
     rank = a.shape[1]
     z = cache.Z
-    rho = z @ (b @ a.T).ravel() - y
-    g = unvec(z.T @ rho, d1, d2) / n
+    if start is None:
+        rho = z @ (b @ a.T).ravel() - y
+        g = unvec(z.T @ rho, d1, d2) / n
+        start = g, spectral_norm(g)
+    g, dual_norm = start
     rhs = -np.concatenate([(g @ b + lam * a).ravel(), (g.T @ a + lam * b).ravel()])
     # the two halves of J, rows (Z_i B)[a, k] and (Z_i^T A)[b, k]
     jac_a = (cache.z_rows() @ b).reshape(n, d1 * rank)
     jac_b = (z.reshape(n * d2, d1) @ a).reshape(n, d2 * rank)
-    shift = lam + max(spectral_norm(g) - lam, 0.0) + NEWTON_DAMPING * lam
+    shift = lam + max(dual_norm - lam, 0.0) + NEWTON_DAMPING * lam
     direction = _dense_direction if n >= rank * (d1 + d2) else _woodbury_direction
     step = direction(g, jac_a, jac_b, shift, rhs)
     return a + step[:d1 * rank].reshape(d1, rank), b + step[d1 * rank:].reshape(d2, rank)
@@ -645,40 +664,38 @@ def _woodbury_direction(g, jac_a, jac_b, shift, rhs):
 
         H^-1 rhs = D^-1 (rhs - J^T u),  (n lambda' I + K K^T) u = K (w(rhs), rhs_Q).
 
-    Whitening J costs one triangular solve on its n r columns; D^-1 itself
-    is applied to one d1 x r and one d2 x r block.
+    L^-1 is formed once (trtri), so whitening J is one product with L^-T on
+    its n r rows, and D^-1 is applied to one d1 x r and one d2 x r block by
+    products with L^-1 and L^-T: a triangular solve on J's columns ran at a
+    tenth of GEMM's rate.
     """
     (d1, d2), n = g.shape, jac_a.shape[0]
     rank = jac_a.shape[1] // d1
     shifted = -(g @ g.T)
     shifted[np.diag_indices(d1)] += shift * shift
+    # potrf zeroes the upper triangle, which trtri leaves as it is
     factor, info = _potrf(shifted, lower=1, overwrite_a=1)
     _check_info(info, "potrf")
+    inverse, info = _trtri(factor, lower=1, overwrite_c=1)
+    _check_info(info, "trtri")
 
-    def lower_solve(m, trans=0):
-        """L^-1 m, or L^-T m with trans=1; m is overwritten."""
-        out, info = _trtrs(factor, m, lower=1, trans=trans, overwrite_b=1)
-        _check_info(info, "trtrs")
-        return out
-
-    # (Z_i B)^T and (Z_i^T A)^T stacked, (n r) x d, so that their transposes
-    # are the column stacks LAPACK reads; w(Z_i B, Z_i^T A)^T is then the
-    # row block i of `white`, and row i of K holds it flattened
+    # (Z_i B)^T and (Z_i^T A)^T stacked, (n r) x d; w(Z_i B, Z_i^T A)^T is
+    # then the row block i of `white`, and row i of K holds it flattened
     def stacked(rows, d):
         return rows.reshape(n, d, rank).transpose(0, 2, 1).reshape(n * rank, d)
 
     white = stacked(jac_b, d2) @ g.T
     np.subtract(shift * stacked(jac_a, d1), white, out=white)
-    white = lower_solve(white.T).T.reshape(n, rank * d1)
+    white = (white @ inverse.T).reshape(n, rank * d1)
     small = white @ white.T
     small += jac_b @ jac_b.T
     small[np.diag_indices(n)] += n * shift
     p, q = rhs[:d1 * rank].reshape(d1, rank), rhs[d1 * rank:].reshape(d2, rank)
-    white_rhs = lower_solve(shift * p - g @ q)
+    white_rhs = inverse @ (shift * p - g @ q)
     u = _spd_solve(small, white @ white_rhs.T.ravel() + jac_b @ q.ravel())
     # D^-1 (rhs - J^T u), with w(rhs - J^T u) = w(rhs) - sum_i u_i w(J_i)
     white_rhs -= (white.T @ u).reshape(rank, d1).T
-    x = lower_solve(white_rhs, trans=1)
+    x = inverse.T @ white_rhs
     y = q - (jac_b.T @ u).reshape(d2, rank)
     y -= g.T @ x
     y /= shift
@@ -800,7 +817,7 @@ def solve(instance, config=None, cache=None, warm_start=None, warm_rank=None):
                     instance, certificate, zc, nuclear) <= FACE_GATE * config.tol_primal):
                 # polish on the rank-r face; FISTA's own state is left as it is
                 newton, polished, steps = _polish(instance, cache, spectrum, left, right,
-                                                  config)
+                                                  certificate, config)
                 newton_steps += steps
                 if newton:
                     certificate, nuclear, converged = newton

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -282,10 +283,15 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """build_parser(), built once per process: main runs once per command."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as err:   # argparse's 2 on a bad command line, 0 on --help
         return EXIT_INPUT if err.code else EXIT_OK
     try:

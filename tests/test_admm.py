@@ -194,7 +194,7 @@ def test_reported_gap_matches_independent_dual():
     assert kinds == ["radial", "radial", "face"]
 
 
-def unpolished(instance, cache, a, b):
+def unpolished(instance, cache, a, b, start=None):
     """A Newton polish that never yields a point, as when its factorization fails."""
     return None
 
@@ -558,8 +558,8 @@ def test_a_warm_try_is_admitted_on_the_rank_alone(monkeypatch):
     weights, schedule, _ = prepare(problem, k=10)
     with monkeypatch.context() as patch:
         patch.setattr(admm, "_check", spy_check)
-        patch.setattr(admm, "_newton_point", lambda *args: events.append(("try",))
-                      or newton_point(*args))
+        patch.setattr(admm, "_newton_point", lambda *args, **kwargs: events.append(("try",))
+                      or newton_point(*args, **kwargs))
         patch.setattr(tracereg.path, "solve", spy_solve)
         result = full_path(problem, weights, schedule, warm_start=True)
     assert all(r.converged for r in result.records)
@@ -580,7 +580,7 @@ def test_a_try_that_does_not_halve_its_gap_ends(monkeypatch):
     # Measured: 21 of the path's 134 tries reach a second round
     rounds = []     # [the factors' A a try's last round returned, its rounds]
 
-    def stalled(instance, cache, a, b):
+    def stalled(instance, cache, a, b, start=None):
         if rounds and a is rounds[-1][0]:
             # a second round receives the factors the first one returned
             rounds[-1][1] += 1
@@ -737,10 +737,10 @@ def test_newton_points_are_stationary():
         "cross32-n100-rank8"])
 def test_dense_and_woodbury_newton_steps_agree(monkeypatch, spec, k, rank):
     # both routes solve the same damped Newton system. On random (A, B) of
-    # scale 0.1 at 0.2 lambda_max the two steps agree to 1e-8 to 7.2e-7
-    # relative (1.6e-7 to 4.9e-7 on the rank-8 case). The rounding grows with
+    # scale 0.1 at 0.2 lambda_max the two steps agree to 1.1e-8 to 3.4e-7
+    # relative (2.0e-7 to 3.0e-7 on the rank-8 case). The rounding grows with
     # ||G||_2 / lambda, as D's smallest eigenvalue is NEWTON_DAMPING lambda
-    # whenever ||G||_2 >= lambda: at scale 1 they agree to 1.4e-6 to 2.2e-5
+    # whenever ||G||_2 >= lambda: at scale 1 they agree to 1.6e-6 to 2.5e-5
     # only
     generate = gen_gaussian if isinstance(spec, GaussianSpec) else gen_shape
     problem, _ = generate(spec)
@@ -763,11 +763,107 @@ def test_dense_and_woodbury_newton_steps_agree(monkeypatch, spec, k, rank):
         assert np.linalg.norm(diff) <= 1e-5 * np.linalg.norm(step)
 
 
+@pytest.mark.parametrize("spec, k, rank", [
+    (GaussianSpec(p=15, q=45, n=30, rank=2, seed=0), 20, 3),
+    (GaussianSpec(p=10, q=15, n=100, seed=2), 5, 3),
+    (ShapeSpec("cross", size=32, n=100, seed=0), 10, 8),
+], ids=["gaussian-15x45", "gaussian-10x15-n100", "cross32-n100-rank8"])
+def test_a_step_from_its_checks_gradient_matches_a_recomputation(spec, k, rank):
+    # a continued round starts from the polished point's factors (A, B),
+    # whose check computed G and ||G||_2 from Z vec(A B^T) with the same
+    # products (_newton_point): the step taken from them is bitwise the one
+    # that recomputes them
+    generate = gen_gaussian if isinstance(spec, GaussianSpec) else gen_shape
+    problem, _ = generate(spec)
+    weights, schedule, _ = prepare(problem, k=k)
+    inst = make_instance(problem, weights, 0.2 * schedule.lambda_max)
+    cache = precompute(inst)
+    rng = np.random.default_rng(7)
+    admm = tracereg.admm
+    a = 0.1 * rng.standard_normal((inst.d1, rank))
+    b = 0.1 * rng.standard_normal((inst.d2, rank))
+    polished = b @ a.T
+    certificate = admm._certificate(inst, cache, cache.Z @ polished.ravel())
+    fresh = admm._newton_step(inst, cache, a, b)
+    reused = admm._newton_step(inst, cache, a, b, (certificate.gradient,
+                                                   certificate.dual_norm))
+    for own, other in zip(fresh, reused):
+        np.testing.assert_array_equal(own, other)
+
+
+@pytest.mark.parametrize("spec, k, kind", [
+    (ShapeSpec("cross", size=32, n=100, seed=0), 10, "radial"),
+    (GaussianSpec(p=15, q=45, n=30, rank=2, seed=1), 20, "face"),
+], ids=["cross32-n100", "gaussian-15x45-seed1"])
+def test_each_round_starts_from_its_radial_checks_gradient(monkeypatch, spec, k, kind):
+    # the first step of a round takes G and ||G||_2 from the check just
+    # before it (FISTA's, or the previous round's polished point's) when that
+    # check's point is radial: it runs no product Z v or Z^T w and no
+    # spectral_norm; every other step runs two and one. A face point's
+    # gradient is the moved residual's, not the point's, so it never feeds a
+    # step: fed one, the Gaussian seed-1 path went from 33 / 32 to 37 / 36
+    # prox evaluations / Newton steps
+    admm = tracereg.admm
+    products, norms, kinds, rounds, steps = [], [], [], [], []
+
+    class Counted(np.ndarray):
+        """Z counting its products Z v and Z^T w; those of its reshapes are not counted."""
+
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            if ufunc is np.matmul and any(isinstance(x, Counted) and x.shape in full
+                                          for x in inputs):
+                products.append(1)
+            inputs = [x.view(np.ndarray) if isinstance(x, Counted) else x for x in inputs]
+            return getattr(ufunc, method)(*inputs, **kwargs)
+
+    init, spectral_norm = admm.FactorCache.__init__, admm.spectral_norm
+    check, newton_point, newton_step = admm._check, admm._newton_point, admm._newton_step
+
+    def counted_init(self, instance):
+        init(self, instance)
+        self.Z = self.Z.view(Counted)
+
+    def spy_check(*args):
+        out = check(*args)
+        kinds.append(out[0].kind)
+        return out
+
+    def spy_point(*args, **kwargs):
+        rounds.append(kinds[-1])
+        return newton_point(*args, **kwargs)
+
+    def spy_step(instance, cache, a, b, start=None):
+        before = len(products), len(norms)
+        out = newton_step(instance, cache, a, b, start)
+        steps.append((start is not None, len(products) - before[0], len(norms) - before[1]))
+        return out
+
+    generate = gen_gaussian if isinstance(spec, GaussianSpec) else gen_shape
+    problem, _ = generate(spec)
+    weights, schedule, _ = prepare(problem, k=k)
+    size = weights.W1.shape[1] * weights.W2.shape[0]
+    full = {(problem.n, size), (size, problem.n)}
+    with monkeypatch.context() as patch:
+        patch.setattr(admm.FactorCache, "__init__", counted_init)
+        patch.setattr(admm, "spectral_norm", lambda m: norms.append(1) or spectral_norm(m))
+        patch.setattr(admm, "_check", spy_check)
+        patch.setattr(admm, "_newton_point", spy_point)
+        patch.setattr(admm, "_newton_step", spy_step)
+        result = full_path(problem, weights, schedule, warm_start=True)
+    assert all(r.converged for r in result.records)
+    assert len(steps) == admm.NEWTON_STEPS * len(rounds) > 0
+    assert kind in rounds
+    for i, start_kind in enumerate(rounds):
+        first, *rest = steps[admm.NEWTON_STEPS * i:admm.NEWTON_STEPS * (i + 1)]
+        assert first == ((True, 0, 0) if start_kind == "radial" else (False, 2, 1))
+        assert all(step == (False, 2, 1) for step in rest)
+
+
 def test_a_failed_polish_leaves_fistas_iterate(monkeypatch):
     # a Newton point that cannot certify is never returned: with the polish
     # perturbed, every solve certifies FISTA's own iterate, at the same
     # iteration as with the polish patched out
-    def perturbed(instance, cache, a, b):
+    def perturbed(instance, cache, a, b, start=None):
         point = b @ a.T
         point += 1e-3 * np.abs(point).max()
         return point, cache.Z @ point.ravel(), (a, b)
@@ -801,8 +897,8 @@ def test_a_failed_factorization_skips_the_polish(monkeypatch):
     outcomes = []
     newton_point = tracereg.admm._newton_point
 
-    def spy(*args):
-        out = newton_point(*args)
+    def spy(*args, **kwargs):
+        out = newton_point(*args, **kwargs)
         outcomes.append(out is None)
         return out
 

@@ -491,3 +491,42 @@ def test_bench_factors_the_gram_once_per_repetition(tmp_path, capsys, monkeypatc
                          "--reps", "2", "--out", str(tmp_path / "bench.json"))
     assert code == EXIT_OK
     assert len(calls) == 2
+
+
+def test_successive_commands_share_one_parser(tmp_path, capsys):
+    # main builds its parser once per process; each command still parses its
+    # own arguments and defaults, whichever subcommand ran before it
+    manifest = generate(capsys, tmp_path)
+    code, out, _ = run_cli(capsys, "solve", "--manifest", manifest, "--lambda-ratio", "0.4")
+    assert code == EXIT_OK
+    solved = json.loads(out)
+    assert solved["converged"] and solved["gap"] <= 1e-6
+    code, out, _ = run_cli(capsys, "path", "--manifest", manifest, "--mode", "full",
+                           "--k", "3", "--warm-start")
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert payload["mode"] == "full" and len(payload["records"]) == 3
+    code, out, _ = run_cli(capsys, "solve", "--manifest", manifest)
+    assert code == EXIT_OK
+    assert json.loads(out)["lambda"] == pytest.approx(solved["lambda"] / 0.4 * 0.5)
+    assert tracereg.cli._parser() is tracereg.cli._parser()
+
+
+def test_a_patched_command_dependency_takes_effect_after_a_first_call(
+        tmp_path, capsys, monkeypatch):
+    # the shared parser binds each subcommand's handler, not what the handler calls
+    manifest = generate(capsys, tmp_path)
+    argv = ("path", "--manifest", manifest, "--mode", "full", "--k", "2")
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == EXIT_OK
+    calls = []
+    real_full_path = tracereg.cli.full_path
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real_full_path(*args, **kwargs)
+
+    monkeypatch.setattr(tracereg.cli, "full_path", spy)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == EXIT_OK
+    assert len(calls) == 1 and len(json.loads(out)["records"]) == 2
