@@ -112,13 +112,22 @@ def nuclear_norm(m):
 
 
 def spectral_norm(m):
-    """Largest singular value: the root of the top eigenvalue of the smaller Gram."""
+    """Largest singular value: the root of the top eigenvalue of the smaller Gram.
+
+    LAPACK syevx computes that eigenvalue alone (by bisection, without
+    vectors): with the Gram, 13.4 / 37 / 280 us at 15 x 15 / 32 x 32 /
+    100 x 100 against 15.2 / 47 / 464 us for all of them from syevd (one
+    BLAS thread; syevr reads within 4 % of syevx). Over 220 random matrices
+    up to 100 x 1 024 it is within 1.1e-15 of the SVD's, relative.
+    """
     m = np.asarray(m, dtype=float)
     if m.size == 0:
         return 0.0
-    w, _, info = _syevd(_small_gram(m), compute_v=0, overwrite_a=1)
-    _check_info(info, "syevd")
-    return float(np.sqrt(max(w[-1], 0.0)))
+    gram = _small_gram(m)
+    d = gram.shape[0]
+    w, _, _, _, info = _syevx(gram, compute_v=0, range="I", il=d, iu=d, overwrite_a=1)
+    _check_info(info, "syevx")
+    return float(np.sqrt(max(w[0], 0.0)))
 
 
 def prox_nuclear(m, t, rank_hint=None, factors=False):

@@ -103,23 +103,51 @@ def test_at_lambda_scales_consistently():
         base.at_lambda(-1.0)
 
 
-def test_factor_cache_solves_the_system():
+@pytest.mark.parametrize("spec", [
+    GaussianSpec(p=15, q=45, n=30, rank=2, seed=0),
+    ShapeSpec("cross", size=32, n=10, seed=0),
+    ShapeSpec("cross", size=32, n=100, seed=0),
+    GaussianSpec(p=5, q=6, n=8, seed=3),
+    # n < pq floors the pilot's weights: cond(W1) = 7.9e7, cond(W2) = 1e8
+    GaussianSpec(p=4, q=5, n=3, seed=1),
+], ids=["gaussian-15x45-n30", "cross32-n10", "cross32-n100", "gaussian-5x6-n8",
+        "floored-4x5-n3"])
+def test_factor_cache_solves_the_system(spec):
     # C = R1 Theta R2^T carries the designs, the penalty and lambda_max over
-    # exactly, and solve() inverts it
-    problem, weights, lam = small_setup(3)
-    instance = make_instance(problem, weights, lam)
+    # exactly, and solve() inverts it; so does a restriction to B = u B' v^T
+    # with C' = Q_L^T C Q_R
+    generate = gen_gaussian if isinstance(spec, GaussianSpec) else gen_shape
+    problem, _ = generate(spec)
+    weights, schedule, _ = prepare(problem, k=2)
+    instance = make_instance(problem, weights, 0.3 * schedule.lambda_max)
     cache = precompute(instance)
     rng = np.random.default_rng(3)
-    theta = rng.standard_normal((instance.d1, instance.d2))
-    c = cache.coordinates(theta)
-    assert np.linalg.norm(cache.solve(c) - theta) <= 1e-10 * np.linalg.norm(theta)
-    np.testing.assert_allclose(cache.Z @ vec(c), instance.stacked @ vec(theta),
-                               rtol=1e-9, atol=1e-9)
-    assert nuclear_norm(c) == pytest.approx(
-        nuclear_norm(weights.W1 @ theta @ weights.W2), rel=1e-10)
-    assert cache.lambda_max == pytest.approx(lambda_max(problem, weights), rel=1e-10)
-    assert cache.lipschitz == pytest.approx(
-        np.linalg.norm(cache.Z, 2) ** 2 / problem.n, rel=1e-12)
+    d1, d2 = instance.d1, instance.d2
+    unrestricted = rng.standard_normal((d1, d2))
+    u = np.linalg.qr(rng.standard_normal((d1, min(d1, 3))))[0]
+    v = np.linalg.qr(rng.standard_normal((d2, min(d2, 2))))[0]
+    restricted = cache.restrict(instance, u, v)
+    for level, theta in (
+        (cache, unrestricted),
+        (restricted, u @ rng.standard_normal((u.shape[1], v.shape[1])) @ v.T),
+    ):
+        c = level.coordinates(theta)
+        assert np.linalg.norm(level.solve(c) - theta) <= 1e-10 * np.linalg.norm(theta)
+        np.testing.assert_allclose(level.Z @ vec(c), instance.stacked @ vec(theta),
+                                   rtol=1e-9, atol=1e-9)
+        assert nuclear_norm(c) == pytest.approx(
+            nuclear_norm(weights.W1 @ theta @ weights.W2), rel=1e-10)
+        assert level.lipschitz == pytest.approx(
+            np.linalg.norm(level.Z, 2) ** 2 / problem.n, rel=1e-12)
+    # both lambda_max factor W1 and W2, so they agree only to the maps'
+    # conditioning; on the floored problem they miss the exact value by
+    # 2.4e-9 (the cache's) and 1.6e-10 (model.lambda_max's)
+    conditioning = np.finfo(float).eps * (np.linalg.cond(weights.W1) + np.linalg.cond(weights.W2))
+    assert cache.lambda_max == pytest.approx(lambda_max(problem, weights),
+                                             rel=max(1e-10, conditioning))
+    gradient = unvec(cache.Z.T @ problem.y, d1, d2)
+    assert restricted.lambda_max == pytest.approx(np.linalg.norm(
+        restricted.q_left.T @ gradient @ restricted.q_right, 2) / problem.n, rel=1e-10)
 
 
 def test_precompute_rejects_rank_deficient_map():

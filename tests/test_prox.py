@@ -211,7 +211,8 @@ def reference_cases():
         pytest.param(with_singular_values(rng, 6, 11, [3.0, 0.4]), id="rank2-wide"),
         pytest.param(with_singular_values(rng, 12, 5, [2.0, 1.0, 0.5]), id="rank3-tall"),
         pytest.param(np.zeros((4, 6)), id="zero"),
-    ]
+    ] + [pytest.param(rng.standard_normal((p, q)), id=f"{p}x{q}")
+         for p, q in ((100, 1024), (1024, 100))]
 
 
 @pytest.mark.parametrize("m", reference_cases())
