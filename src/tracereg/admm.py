@@ -61,8 +61,10 @@ dual. When that point fails, the infeasibility passes and the gate
 (FACE_GATE) admits it, the residual is first moved onto the active face of
 the nuclear norm's subdifferential (_face_certificate) and then scaled; its
 norm is computed exactly, so that point is feasible too and D stays a
-lower bound. With the radial point alone the warm full paths above took
-1 239 / 917 / 1 068, 295 and 798 prox evaluations.
+lower bound. The correction moves only the dual point: the certificate's
+G = unvec(Z^T r)/n and ||G||_2 stay those of the checked iterate. With the
+radial point alone the warm full paths above took 1 239 / 917 / 1 068, 295
+and 798 prox evaluations.
 
 Most failed checks late in a solve fail on first-order stationarity, not on
 the rank: before the polish below, 104 of 122 failed checks on the warm
@@ -77,7 +79,9 @@ a manifold acceleration in the sense of Bareilles, Iutzeler & Malick
 returns it (Solution.primal_kind "newton"); otherwise FISTA goes on from
 its own iterate with its momentum (a feasible miss first runs more rounds;
 see below). The polish starts from the factors the prox computed for the
-checked iterate (prox_nuclear with factors=True), not from an SVD of it.
+checked iterate (prox_nuclear with factors=True), not from an SVD of it,
+and every round's first step takes G and ||G||_2 from the check before it,
+whichever dual point that check tried.
 The warm full paths above then take 227 / 217 / 215, 100 and 178 prox
 evaluations, with 10 / 13 / 14, 10 and 10 levels certified on
 the polished point; at tolerance 1e-8 the Gaussian paths take 376 / 248 /
@@ -202,8 +206,9 @@ FACE_GATE = 100.0
 # lambda' = lambda + (||G||_2 - lambda)_+ + NEWTON_DAMPING lambda, which makes
 # it positive definite whatever the rotation gauge (A Omega, B Omega) does,
 # so one Cholesky factorization per step suffices. Each round's first step
-# takes G and ||G||_2 from the radial certificate of the check just before
-# it, which holds them at the same point (_polish). A try's first round
+# takes G and ||G||_2 from the certificate of the check just before it,
+# which holds them at the same point whichever dual point it tried
+# (_polish). A try's first round
 # (two steps and the check, from the prox's factors and on the whitened
 # Woodbury system) costs 0.33-0.55 ms at 15 x 45 (r = 3), 0.31-0.39 ms at
 # 32 x 32 n = 10 (r = 1), and 0.77 ms (r = 1) to 1.7-2.3 ms (r = 7-8) at
@@ -240,8 +245,9 @@ class AdmmConfig:
     max_iter: int = 5000
 
     def __post_init__(self):
-        if self.tol_primal <= 0 or self.tol_dual <= 0:
-            raise ValueError("tolerances must be positive")
+        if not (0.0 < self.tol_primal < math.inf and 0.0 < self.tol_dual < math.inf):
+            raise ValueError(f"tolerances must be positive and finite, got "
+                             f"{self.tol_primal} and {self.tol_dual}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
 
@@ -268,9 +274,7 @@ class GeneralizedInstance:
 
     def at_lambda(self, lam):
         """Sibling instance at a new lambda, same maps."""
-        if lam <= 0:
-            raise ValueError(f"lambda must be positive, got {lam}")
-        return replace(self, lam=float(lam))
+        return replace(self, lam=_checked_lambda(lam))
 
     @property
     def n(self):
@@ -296,12 +300,18 @@ class GeneralizedInstance:
 
 def make_instance(problem, weights, lam):
     """Unreduced instance for the original problem at one lambda."""
-    if lam <= 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
     return GeneralizedInstance(
         Xt=problem.X, stacked=problem.stacked, y=problem.y,
-        M1=weights.W1, M2=weights.W2, lam=float(lam),
+        M1=weights.W1, M2=weights.W2, lam=_checked_lambda(lam),
     )
+
+
+def _checked_lambda(lam):
+    """lam as a float; ValueError unless it is finite and positive."""
+    lam = float(lam)
+    if not 0.0 < lam < math.inf:
+        raise ValueError(f"lambda must be positive and finite, got {lam}")
+    return lam
 
 
 def _triangular_factor(m, name):
@@ -439,9 +449,10 @@ def objective_value(instance, theta_mat):
 class _Certificate(NamedTuple):
     """A check's data at an iterate c, with r = Z vec(c) - y.
 
-    point is a dual feasible point in theta's scale and dual its D;
-    gradient is G = unvec(Z^T r')/n at the residual r' that point scales
-    (r itself on the radial point), and dual_norm its ||G||_2.
+    gradient is G = unvec(Z^T r)/n and dual_norm its ||G||_2, both at the
+    checked iterate whatever the point; point is a dual feasible point in
+    theta's scale, the radial one or the face-corrected one (kind), and
+    dual its D.
     """
 
     residual: np.ndarray
@@ -492,8 +503,10 @@ def _face_certificate(instance, cache, certificate):
     rows vec(U_k^T Z_i V_k)/n, the residual moves by the least-norm Delta
     with A^T (r + Delta) = lambda vec(I_k), Delta = A (A^T A)^{-1} (lambda
     vec(I_k) - A^T r), and r + Delta is scaled onto the feasible set with
-    its exact ||G||_2 like the radial point. None when k = 0, k^2 > n or
-    A^T A is not numerically positive definite.
+    its exact ||G||_2 like the radial point. Only point, dual and kind
+    change: gradient and dual_norm stay those of the checked iterate, and
+    the moved residual's own serve only to scale its point. None when
+    k = 0, k^2 > n or A^T A is not numerically positive definite.
     """
     n, lam, r = instance.n, instance.lam, certificate.residual
     d1, d2 = cache.d1, cache.d2
@@ -509,11 +522,9 @@ def _face_certificate(instance, cache, certificate):
     if info:
         return None
     moved = r + a @ w
-    gradient = unvec(cache.Z.T @ moved, d1, d2) / n
-    dual_norm = spectral_norm(gradient)
+    dual_norm = spectral_norm(unvec(cache.Z.T @ moved, d1, d2) / n)
     point, dual = _scaled_point(instance, moved, dual_norm)
-    return certificate._replace(gradient=gradient, dual_norm=dual_norm, point=point,
-                                dual=dual, kind="face")
+    return certificate._replace(point=point, dual=dual, kind="face")
 
 
 def _unscaled_gap(instance, certificate, zc, nuclear):
@@ -566,9 +577,9 @@ def _polish(instance, cache, s, u, v, certificate, config):
     and runs rounds of _newton_point, each checked by _check. A round that
     fails its check but stays dual feasible is followed by another from its
     own factors, as long as each round's gap is at most NEWTON_GAP_SHRINK
-    times the previous round's. Each round starts from the gradient of the
-    check before it when that check's point is radial; a face point's
-    gradient is the moved residual's, not the point's.
+    times the previous round's. Each round's first step takes G and
+    ||G||_2 from the check before it, which holds them at that check's
+    iterate whichever dual point it tried.
     check is the passing _check and point the polished C^T, or both None
     when the try ends without a pass: a failed factorization, an infeasible
     point or a round that did not shrink the gap enough.
@@ -576,10 +587,8 @@ def _polish(instance, cache, s, u, v, certificate, config):
     root = np.sqrt(s)
     factors, steps, previous = (v * root, u * root), 0, math.inf
     while True:
-        start = None
-        if certificate.kind == "radial":
-            start = certificate.gradient, certificate.dual_norm
-        polished = _newton_point(instance, cache, *factors, start=start)
+        polished = _newton_point(instance, cache, *factors,
+                                 start=(certificate.gradient, certificate.dual_norm))
         steps += NEWTON_STEPS
         if polished is None:
             return None, None, steps
@@ -597,8 +606,9 @@ def _polish(instance, cache, s, u, v, certificate, config):
 def _newton_point(instance, cache, a, b, start=None):
     """NEWTON_STEPS damped Newton steps from the factors (A, B) of C = A B^T.
 
-    start is (G, ||G||_2) at A B^T (see _newton_step) when a check has just
-    computed them, so that the first step skips them, else None.
+    start is (G, ||G||_2) at A B^T (see _newton_step), as the check of
+    A B^T just computed them (_Certificate.gradient and dual_norm), so that
+    the first step skips them; None computes them.
     Returns (A' B'^T)^T, Z vec(A' B'^T) and the new factors (A', B'), or
     None when a factorization fails: the damping is relative to lambda, so
     at lambda far below lambda_max rounding in J^T J/n can outweigh it

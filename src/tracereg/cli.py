@@ -186,17 +186,30 @@ def _bench_specs(args):
     if args.spec_file:
         with open(args.spec_file) as fh:
             raw = json.load(fh)
+        if not isinstance(raw, list):
+            raise ValueError(f"{args.spec_file}: expected a JSON list of specs")
         specs = []
         for entry in raw:
             try:
                 fields = dict(entry)
                 kind = fields.pop("kind", "gaussian")
                 fields.setdefault("seed", args.seed)
-                specs.append(ShapeSpec(**fields) if kind == "shape" else GaussianSpec(**fields))
+                spec = ShapeSpec(**fields) if kind == "shape" else GaussianSpec(**fields)
+                _check_spec_types(spec)
             except (TypeError, ValueError) as err:
                 raise ValueError(f"bad bench spec {json.dumps(entry)}: {err}") from None
+            specs.append(spec)
         return specs
     return [_problem_spec(args)]
+
+
+def _check_spec_types(spec):
+    """TypeError unless each field of spec holds its declared int, float or str."""
+    expected = {"int": (int,), "float": (int, float), "str": (str,)}
+    for field in dataclasses.fields(spec):
+        value = getattr(spec, field.name)
+        if isinstance(value, bool) or not isinstance(value, expected[field.type]):
+            raise TypeError(f"{field.name} must be {field.type}, got {json.dumps(value)}")
 
 
 def cmd_bench(args):

@@ -253,10 +253,21 @@ def load_problem(manifest_path):
     except json.JSONDecodeError as err:
         raise ValueError(f"manifest {manifest_path} is not valid JSON: {err}") from None
 
+    if not isinstance(manifest, dict):
+        raise ValueError(f"manifest {manifest_path} is not a JSON object")
     missing = [k for k in ("n", "p", "q", "y", "X") if k not in manifest]
     if missing:
         raise ValueError(f"manifest {manifest_path} missing keys: {', '.join(missing)}")
-    n, p, q = int(manifest["n"]), int(manifest["p"]), int(manifest["q"])
+    for key in ("n", "p", "q"):
+        value = manifest[key]
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise ValueError(f"manifest {manifest_path}: {key} must be an integer of "
+                             f"at least 1, got {json.dumps(value)}")
+    for key in ("y", "X"):
+        if not isinstance(manifest[key], str):
+            raise ValueError(f"manifest {manifest_path}: {key} must be a file name, "
+                             f"got {json.dumps(manifest[key])}")
+    n, p, q = manifest["n"], manifest["p"], manifest["q"]
     base = os.path.dirname(os.path.abspath(manifest_path))
 
     def read(name, cols):

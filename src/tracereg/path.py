@@ -48,7 +48,7 @@ import numpy as np
 from .admm import AdmmConfig, Solution, make_instance, precompute, solve
 from .model import GramFactor
 from .prox import singular_values, svd
-from .screen import ScreenContext, screen
+from .screen import ScreenContext, _check_epsilon, screen
 
 
 @dataclass(frozen=True)
@@ -65,8 +65,8 @@ class LambdaSchedule:
     values: np.ndarray = None
 
     def __post_init__(self):
-        if self.lambda_max <= 0:
-            raise ValueError(f"lambda_max must be positive, got {self.lambda_max}")
+        if not 0.0 < self.lambda_max < np.inf:
+            raise ValueError(f"lambda_max must be positive and finite, got {self.lambda_max}")
         if self.k < 1:
             raise ValueError(f"k must be at least 1, got {self.k}")
         if not 0.0 < self.ratio < 1.0:
@@ -320,8 +320,9 @@ def compare(problem, weights, schedule, config=None, epsilon=None,
     warm_start applies to both paths alike so the timings stay comparable.
     gram, a GramFactor of the problem, goes to the screened path; None has
     it built first, so a design GramFactor refuses raises before the full
-    path runs.
+    path runs, as does an epsilon that screen refuses.
     """
+    _check_epsilon(epsilon)
     gram = gram or GramFactor(problem)
     full = full_path(problem, weights, schedule, config, warm_start=warm_start)
     screened = screened_path(problem, weights, schedule, config,

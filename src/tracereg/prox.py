@@ -178,15 +178,9 @@ def _prox_nuclear(m, t, rank_hint):
         w, vecs = w[first:], vecs[:, first:]
     if cut < GRAM_RESOLUTION ** 2 * max(p, q) * EPS * top:
         return _prox_nuclear_svd(m, t), None, None, None
-    sigma = np.sqrt(w)
-    shrink = 1.0 - t / sigma
-    if p <= q:
-        # vecs^T m = diag(sigma) V_k^T
-        scaled = vecs.T @ m
-        return (vecs * shrink) @ scaled, sigma - t, vecs, scaled.T / sigma
-    # m vecs = U_k diag(sigma)
-    scaled = m @ vecs
-    return (scaled * shrink) @ vecs.T, sigma - t, scaled / sigma, vecs
+    u, sigma, v = _gram_pairs(m, w, vecs)
+    s = sigma - t
+    return (u * s) @ v.T, s, u, v
 
 
 def _prox_nuclear_svd(m, t):
@@ -206,7 +200,16 @@ def singular_pairs_above(m, s_min):
     GRAM_RESOLUTION).
     """
     m = np.asarray(m, dtype=float)
-    w, vecs = _eigenpairs_above(_small_gram(m), s_min * s_min)
+    return _gram_pairs(m, *_eigenpairs_above(_small_gram(m), s_min * s_min))
+
+
+def _gram_pairs(m, w, vecs):
+    """(U_k, sigma, V_k) of m from eigenpairs (w, vecs) of its smaller Gram, w > 0.
+
+    The eigenvectors are one side, U_k when m is wide (m m^T = U diag(w)
+    U^T) and V_k when it is tall; the other is m^T U_k / sigma or
+    m V_k / sigma, with sigma = sqrt(w).
+    """
     sigma = np.sqrt(w)
     if m.shape[0] <= m.shape[1]:
         return vecs, sigma, (m.T @ vecs) / sigma

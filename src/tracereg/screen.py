@@ -180,7 +180,7 @@ def _f_opt_batch(gammas, scalars):
     return np.where(use_ring, ring, sphere)
 
 
-def gamma_for(context, scalars, j, k):
+def gamma_for(context, j, k):
     """gamma for one (u_j, v_k) pair: n lam (X X^T)^{-1} X vec(u_j v_k^T)."""
     problem = context.gram.problem
     z = (problem.X @ context.V[:, k]) @ context.U[:, j]
@@ -190,7 +190,7 @@ def gamma_for(context, scalars, j, k):
 def p_values(context, scalars, j, k):
     """(P1, P2) for one coefficient, base term <y, gamma>/(n lam); W = max(P1, P2)."""
     problem = context.gram.problem
-    gamma = gamma_for(context, scalars, j, k)
+    gamma = gamma_for(context, j, k)
     base = float(problem.y @ gamma) / (problem.n * context.lam)
     return base + f_opt(gamma, scalars), -base + f_opt(-gamma, scalars)
 
@@ -242,6 +242,12 @@ class ScreenOutcome:
     epsilon: float               # the threshold the screen decided on
 
 
+def _check_epsilon(epsilon):
+    """ValueError unless epsilon is None or a nonnegative threshold; inf drops everything."""
+    if epsilon is not None and not epsilon >= 0.0:
+        raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
+
+
 def screen(context, epsilon=None):
     """Find the rows and columns of the bases that W drops.
 
@@ -256,6 +262,7 @@ def screen(context, epsilon=None):
     the same threshold, as bound_matrix evaluates them. The path solves the
     level on the kept columns of U and V (FactorCache.restrict).
     """
+    _check_epsilon(epsilon)
     p, q = context.gram.problem.p, context.gram.problem.q
     low = lower_bound(context)
     if epsilon is None:

@@ -93,6 +93,22 @@ def test_make_instance_rejects_nonpositive_lambda():
         make_instance(problem, weights, 0.0)
 
 
+@pytest.mark.parametrize("lam", [-1.0, np.nan, np.inf])
+def test_lambda_must_be_finite_and_positive(lam):
+    problem, weights, good = small_setup(1)
+    with pytest.raises(ValueError, match="lambda must be positive and finite"):
+        make_instance(problem, weights, lam)
+    with pytest.raises(ValueError, match="lambda must be positive and finite"):
+        make_instance(problem, weights, good).at_lambda(lam)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-6, np.nan, np.inf])
+def test_tolerances_must_be_finite_and_positive(tol):
+    for fields in ({"tol_primal": tol}, {"tol_dual": tol}):
+        with pytest.raises(ValueError, match="tolerances must be positive and finite"):
+            AdmmConfig(**fields)
+
+
 def test_at_lambda_scales_consistently():
     problem, weights, lam = small_setup(2)
     base = make_instance(problem, weights, lam)
@@ -823,14 +839,12 @@ def test_a_step_from_its_checks_gradient_matches_a_recomputation(spec, k, rank):
     (ShapeSpec("cross", size=32, n=100, seed=0), 10, "radial"),
     (GaussianSpec(p=15, q=45, n=30, rank=2, seed=1), 20, "face"),
 ], ids=["cross32-n100", "gaussian-15x45-seed1"])
-def test_each_round_starts_from_its_radial_checks_gradient(monkeypatch, spec, k, kind):
+def test_each_round_starts_from_its_checks_gradient(monkeypatch, spec, k, kind):
     # the first step of a round takes G and ||G||_2 from the check just
-    # before it (FISTA's, or the previous round's polished point's) when that
-    # check's point is radial: it runs no product Z v or Z^T w and no
-    # spectral_norm; every other step runs two and one. A face point's
-    # gradient is the moved residual's, not the point's, so it never feeds a
-    # step: fed one, the Gaussian seed-1 path went from 33 / 32 to 37 / 36
-    # prox evaluations / Newton steps
+    # before it (FISTA's, or the previous round's polished point's), radial
+    # or face alike, as a face check keeps the checked point's G: it runs no
+    # product Z v or Z^T w and no spectral_norm; every other step runs two
+    # and one. Each path has rounds after a check of the given kind
     admm = tracereg.admm
     products, norms, kinds, rounds, steps = [], [], [], [], []
 
@@ -881,10 +895,28 @@ def test_each_round_starts_from_its_radial_checks_gradient(monkeypatch, spec, k,
     assert all(r.converged for r in result.records)
     assert len(steps) == admm.NEWTON_STEPS * len(rounds) > 0
     assert kind in rounds
-    for i, start_kind in enumerate(rounds):
+    for i in range(len(rounds)):
         first, *rest = steps[admm.NEWTON_STEPS * i:admm.NEWTON_STEPS * (i + 1)]
-        assert first == ((True, 0, 0) if start_kind == "radial" else (False, 2, 1))
+        assert first == (True, 0, 0)
         assert all(step == (False, 2, 1) for step in rest)
+
+
+def test_a_face_certificate_keeps_its_checks_gradient():
+    # the correction moves only the dual point: gradient and dual_norm are
+    # bitwise those of the radial check, while point and dual change
+    admm = tracereg.admm
+    problem, _ = gen_gaussian(GaussianSpec(p=15, q=45, n=30, rank=2, seed=1))
+    weights, schedule, _ = prepare(problem, k=20)
+    inst = make_instance(problem, weights, 0.3 * schedule.lambda_max)
+    cache = precompute(inst)
+    sol = solve(inst, cache=cache)
+    assert sol.dual_kind == "face"
+    radial = admm._certificate(inst, cache, cache.Z @ vec(cache.coordinates(sol.B)))
+    face = admm._face_certificate(inst, cache, radial)
+    assert face.kind == "face" and face.dual > radial.dual
+    assert face.dual_norm == radial.dual_norm
+    np.testing.assert_array_equal(face.gradient, radial.gradient)
+    assert not np.array_equal(face.point, radial.point)
 
 
 def test_a_failed_polish_leaves_fistas_iterate(monkeypatch):

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import io
 import json
+import re
 import subprocess
 import sys
 
@@ -433,6 +434,33 @@ def test_bad_generator_input_is_input_error(tmp_path, capsys, argv):
     code, _, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv))
     assert code == EXIT_INPUT
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "--manifest", "{manifest}", "--lam", "nan"], "lambda must be positive and finite"),
+    (["solve", "--manifest", "{manifest}", "--lam", "inf"], "lambda must be positive and finite"),
+    (["solve", "--manifest", "{manifest}", "--tol", "nan"],
+     "tolerances must be positive and finite"),
+    (["path", "--manifest", "{manifest}", "--epsilon", "nan", "--k", "3"],
+     "epsilon must be nonnegative"),
+    (["path", "--manifest", "{manifest}", "--epsilon", "-1", "--k", "3"],
+     "epsilon must be nonnegative"),
+    (["solve", "--manifest", "{tmp}/n-null.json"], "n must be an integer"),
+    (["solve", "--manifest", "{tmp}/y-number.json"], "y must be a file name"),
+    (["bench", "--spec-file", "{tmp}/specs.json", "--k", "2", "--reps", "1"],
+     'bad bench spec .*p must be int, got "x"'),
+], ids=["lam-nan", "lam-inf", "tol-nan", "epsilon-nan", "epsilon-negative",
+        "manifest-n-null", "manifest-y-number", "bench-spec-p-string"])
+def test_non_finite_or_mistyped_input_is_input_error(tmp_path, capsys, argv, message):
+    manifest = generate(capsys, tmp_path)
+    meta = json.loads((tmp_path / "problem.json").read_text())
+    (tmp_path / "n-null.json").write_text(json.dumps(dict(meta, n=None)))
+    (tmp_path / "y-number.json").write_text(json.dumps(dict(meta, y=5)))
+    (tmp_path / "specs.json").write_text('[{"p": "x", "q": 3, "n": 5}]')
+    code, _, err = run_cli(capsys, *(a.format(tmp=tmp_path, manifest=manifest) for a in argv))
+    assert code == EXIT_INPUT
+    assert err.startswith("error:")
+    assert re.search(message, err)
 
 
 def test_module_entry_point():

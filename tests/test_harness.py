@@ -148,6 +148,11 @@ def test_load_errors(tmp_path):
     with pytest.raises(ValueError, match="not valid JSON"):
         load_problem(bad)
 
+    listed = tmp_path / "list.json"
+    listed.write_text(json.dumps([{"n": 2, "p": 2}]))
+    with pytest.raises(ValueError, match="is not a JSON object"):
+        load_problem(listed)
+
     partial = tmp_path / "partial.json"
     partial.write_text(json.dumps({"n": 2, "p": 2}))
     with pytest.raises(ValueError, match="missing keys: q, y, X"):
@@ -166,6 +171,23 @@ def test_load_errors(tmp_path):
     (tmp_path / "short.json").write_text(json.dumps(meta_short))
     with pytest.raises(ValueError, match="y has 4 rows, manifest says n=5"):
         load_problem(tmp_path / "short.json")
+
+
+@pytest.mark.parametrize("edit, message", [
+    ({"n": None}, "n must be an integer of at least 1, got null"),
+    ({"p": "2"}, 'p must be an integer of at least 1, got "2"'),
+    ({"q": 3.0}, "q must be an integer of at least 1, got 3.0"),
+    ({"n": 0}, "n must be an integer of at least 1, got 0"),
+    ({"n": True}, "n must be an integer of at least 1, got true"),
+    ({"y": 5}, "y must be a file name, got 5"),
+    ({"X": ["a.npy"]}, r'X must be a file name, got \["a.npy"\]'),
+], ids=["n-null", "p-string", "q-float", "n-zero", "n-bool", "y-number", "X-list"])
+def test_load_refuses_manifest_fields_of_the_wrong_type(tmp_path, edit, message):
+    problem, _ = gen_gaussian(GaussianSpec(p=2, q=3, n=4, seed=7))
+    meta = json.loads(Path(save_problem(problem, tmp_path)).read_text())
+    (tmp_path / "edited.json").write_text(json.dumps(dict(meta, **edit)))
+    with pytest.raises(ValueError, match=message):
+        load_problem(tmp_path / "edited.json")
 
 
 def test_load_reports_malformed_cells(tmp_path):

@@ -23,6 +23,7 @@ from tracereg.cli import EXIT_OK, main
 from tracereg.harness import GaussianSpec, ShapeSpec, gen_gaussian, gen_shape, prepare
 from tracereg.model import GramFactor
 from tracereg.path import numerical_rank
+from tracereg.screen import ScreenContext, screen
 
 TIGHT = AdmmConfig(tol_primal=1e-8, tol_dual=1e-8)
 
@@ -57,6 +58,12 @@ def test_schedule_explicit_values_kept():
     vals = np.array([0.1, 0.7])
     sched = LambdaSchedule(lambda_max=1.0, k=2, values=vals)
     np.testing.assert_array_equal(sched.values, [0.1, 0.7])
+
+
+@pytest.mark.parametrize("lmax", [np.inf, np.nan])
+def test_schedule_lambda_max_must_be_finite(lmax):
+    with pytest.raises(ValueError, match="lambda_max must be positive and finite"):
+        LambdaSchedule(lambda_max=lmax, k=3)
 
 
 def test_schedule_validation():
@@ -401,6 +408,25 @@ def test_screened_objectives_match_full_path():
             np.testing.assert_array_equal(rs.solution.B, rf.solution.B)
             assert (rs.iters, rs.gap, rs.rank, rs.kept_dims) == (
                 rf.iters, rf.gap, rf.rank, rf.kept_dims)
+
+
+@pytest.mark.parametrize("epsilon", [np.nan, -1.0])
+def test_a_nan_or_negative_epsilon_is_refused_before_any_level(epsilon, monkeypatch):
+    # inf stays valid (it drops everything); NaN would keep every direction
+    # after building all of W at every level
+    problem, weights, sched, gram = small_case(seed=6)
+    solves = []
+    monkeypatch.setattr(tracereg.path, "solve", lambda *a, **k: solves.append(1))
+    context = ScreenContext.from_orthogonal_bases(
+        sched.lambda_max, float(sched.values[-1]), -problem.y / (problem.n * sched.lambda_max),
+        gram, np.eye(problem.p), np.eye(problem.q))
+    with pytest.raises(ValueError, match="epsilon must be nonnegative"):
+        screen(context, epsilon=epsilon)
+    with pytest.raises(ValueError, match="epsilon must be nonnegative"):
+        screened_path(problem, weights, sched, epsilon=epsilon, gram=gram)
+    with pytest.raises(ValueError, match="epsilon must be nonnegative"):
+        compare(problem, weights, sched, epsilon=epsilon, gram=gram)
+    assert solves == []
 
 
 def test_screen_everything_path_returns_zeros():

@@ -319,6 +319,33 @@ def test_singular_pairs_above_match_the_svd(p, q):
         np.testing.assert_allclose(m.T @ u, v * sigma, atol=1e-12 * s_ref[0])
 
 
+@pytest.mark.parametrize("p,q", [(15, 45), (45, 15), (32, 32)])
+@pytest.mark.parametrize("hint, routine", [(None, "_syevd"), (0, "_syevx")])
+def test_prox_nuclear_factors_match_the_svd(p, q, hint, routine, monkeypatch):
+    # both eigensolver routes return the kept singular triples of m, as
+    # singular_pairs_above does: sigma = s + t ascending, m v = u sigma and
+    # m^T u = v sigma
+    calls = []
+    for name in ("_syevd", "_syevx"):
+        original = getattr(prox_module, name)
+        monkeypatch.setattr(prox_module, name, lambda *a, name=name, original=original, **k:
+                            calls.append(name) or original(*a, **k))
+    rng = np.random.default_rng(p + q)
+    m = rng.standard_normal((p, q))
+    s_ref = np.linalg.svd(m, compute_uv=False)
+    for kept in (1, 3):
+        t = 0.5 * (s_ref[kept - 1] + s_ref[kept])
+        _, s, u, v = prox_nuclear(m, t, rank_hint=hint, factors=True)
+        sigma = s + t
+        assert u.shape == (p, kept) and v.shape == (q, kept)
+        np.testing.assert_allclose(sigma, s_ref[:kept][::-1], rtol=1e-12)
+        np.testing.assert_allclose(u.T @ u, np.eye(kept), atol=1e-12)
+        np.testing.assert_allclose(v.T @ v, np.eye(kept), atol=1e-12)
+        np.testing.assert_allclose(m @ v, u * sigma, atol=1e-12 * s_ref[0])
+        np.testing.assert_allclose(m.T @ u, v * sigma, atol=1e-12 * s_ref[0])
+    assert calls == [routine, routine]
+
+
 def test_prox_nuclear_spectrum_edge_cases():
     m = np.diag([3.0, 1.0, 0.5])
     out, spec, _, _ = prox_nuclear(m, 2.0, factors=True)

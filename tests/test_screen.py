@@ -385,8 +385,7 @@ def orthogonal_corner_problem(seed=8, n=3):
 def test_gamma_for_orthogonal_pair_is_zero():
     problem, gram = orthogonal_corner_problem()
     context = identity_context(problem, gram, 0.3, 0.8)
-    s = compute_scalars(context)
-    np.testing.assert_array_equal(gamma_for(context, s, 0, 0), np.zeros(problem.n))
+    np.testing.assert_array_equal(gamma_for(context, 0, 0), np.zeros(problem.n))
 
 
 def test_gamma_for_single_unit_design():
@@ -398,8 +397,7 @@ def test_gamma_for_single_unit_design():
     _, _, gram = prepare(problem, k=2)
     lam = 0.9
     context = identity_context(problem, gram, 0.45, lam)
-    s = compute_scalars(context)
-    gamma = gamma_for(context, s, 0, 1)
+    gamma = gamma_for(context, 0, 1)
     assert gamma.shape == (1,)
     assert gamma[0] == pytest.approx(problem.n * lam, rel=1e-15)
 
@@ -632,12 +630,11 @@ def test_lower_bound_reads_the_row_space_map_of_the_shifted_response():
     # lambda_max (theta_prev = -y/(n lambda_max)) in the standard bases
     # L = (1 - lam/lambda_max) |B_ls|
     context, problem, weights = pipeline_context(2, p=3, q=4, n=8)
-    s = compute_scalars(context)
     low = lower_bound(context)
     shifted = context.theta_prev + problem.y / (problem.n * context.lam)
     for j in range(problem.p):
         for k in range(problem.q):
-            ref = abs(float(gamma_for(context, s, j, k) @ shifted))
+            ref = abs(float(gamma_for(context, j, k) @ shifted))
             assert low[j, k] == pytest.approx(ref, rel=1e-10, abs=1e-14)
     lmax = lambda_max(problem, weights)
     at_max = identity_context(problem, context.gram, lmax, 0.25 * lmax,
